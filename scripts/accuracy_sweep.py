@@ -15,8 +15,7 @@ import argparse
 
 import numpy as np
 
-from lattice_bc import (DegenerateTrace, SingularConnecting,
-                        SingularLeadingMinor, characterize_response,
+from lattice_bc import (InversionError, characterize_response,
                         invert_factorization, invert_gelfand_levitan,
                         invert_krein, response_kernel)
 
@@ -41,8 +40,7 @@ def sweep_cell(rng, amplitude, T, instances):
         for name, solver in solvers.items():
             try:
                 err = float(np.max(np.abs(solver(r, T) - b)))
-            except (DegenerateTrace, SingularConnecting,
-                    SingularLeadingMinor):
+            except InversionError:
                 skipped[name] += 1
                 continue
             worst[name] = max(worst[name], err)

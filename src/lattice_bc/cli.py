@@ -20,10 +20,10 @@ from .bc_ops import (connecting_matrix, connecting_via_waves,
                      response_kernel)
 from .core import Tolerances
 from .forward import solve_interval, solve_semi_infinite
-from .inversion import (DegenerateTrace, KreinConfig, SingularConnecting,
-                        SingularLeadingMinor, characterize_response,
-                        invert_factorization, invert_gelfand_levitan,
-                        invert_krein)
+from .inversion import (DegenerateTrace, InversionError, KreinConfig,
+                        SingularConnecting, SingularLeadingMinor,
+                        characterize_response, invert_factorization,
+                        invert_gelfand_levitan, invert_krein)
 from .linalg import ConvergenceFailure
 from .spectral import build_hamiltonian, eigen_decompose, invert_spectral
 
@@ -100,15 +100,14 @@ def cmd_connect(args):
         pf = _load(args.potential, ("potential",), "potential")
         if T is None:
             raise ValueError("--horizon is required with --potential")
-        if args.via_waves:
-            C = connecting_via_waves(pf.values, T)
-        else:
+        if args.via_waves or args.verify:
+            waves = connecting_via_waves(pf.values, T)
+        if not args.via_waves or args.verify:
             r = response_kernel(pf.values, 2 * T - 2)
-            C = connecting_matrix(r, T)
+            kernel_route = connecting_matrix(r, T)
+        C = waves if args.via_waves else kernel_route
         if args.verify:
-            r = response_kernel(pf.values, 2 * T - 2)
-            dev = float(np.max(np.abs(connecting_matrix(r, T)
-                                      - connecting_via_waves(pf.values, T))))
+            dev = float(np.max(np.abs(kernel_route - waves)))
             print(f"route deviation: {format(dev, '.17g')}",
                   file=sys.stderr)
     files.write_text(files.matrix_csv(C), args.output)
@@ -175,7 +174,7 @@ def cmd_spectral_invert(args):
 def _roundtrip_method(invert, b):
     try:
         recovered = invert()
-    except (DegenerateTrace, SingularConnecting, SingularLeadingMinor) as exc:
+    except InversionError as exc:
         return None, type(exc).__name__
     err = float(np.max(np.abs(recovered - b))) if b.size else 0.0
     return err, None
@@ -191,13 +190,8 @@ def cmd_roundtrip(args):
         raise ValueError("amplitude must be finite and nonnegative")
     tol = _tolerances(args)
     rng = np.random.default_rng(args.seed)
-    methods = {
-        "krein": {"successes": 0, "max_abs_error": None, "failures": []},
-        "factorization":
-            {"successes": 0, "max_abs_error": None, "failures": []},
-        "gelfand_levitan":
-            {"successes": 0, "max_abs_error": None, "failures": []},
-    }
+    methods = {name: {"successes": 0, "max_abs_error": None, "failures": []}
+               for name in ("krein", "factorization", "gelfand_levitan")}
     admissible_count = 0
     inadmissible = []
     for i in range(args.instances):

@@ -169,25 +169,24 @@ def write_text(text, path=None):
             fh.write("\n")
 
 
-def field_csv(values, label="n"):
-    """CSV for a 2-D table: header of time indices, one row per site."""
+def _table_csv(values, what, corner, first):
+    """CSV with a header row and a label column, labels counting from first."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
-        raise ValueError("field table must be 2-D")
-    lines = [",".join([label] + [str(t) for t in range(arr.shape[1])])]
-    for n in range(arr.shape[0]):
-        lines.append(",".join([str(n)]
-                              + [_format_float(x) for x in arr[n]]))
+        raise ValueError(f"{what} must be 2-D")
+    lines = [",".join([corner]
+                      + [str(j + first) for j in range(arr.shape[1])])]
+    for i in range(arr.shape[0]):
+        lines.append(",".join([str(i + first)]
+                              + [_format_float(x) for x in arr[i]]))
     return "\n".join(lines) + "\n"
+
+
+def field_csv(values, label="n"):
+    """CSV for a 2-D table: header of time indices, one row per site."""
+    return _table_csv(values, "field table", label, 0)
 
 
 def matrix_csv(values):
     """CSV for a connecting matrix: 1-based row/column labels."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    lines = [",".join(["i"] + [str(j + 1) for j in range(arr.shape[1])])]
-    for i in range(arr.shape[0]):
-        lines.append(",".join([str(i + 1)]
-                              + [_format_float(x) for x in arr[i]]))
-    return "\n".join(lines) + "\n"
+    return _table_csv(values, "matrix", "i", 1)

@@ -97,20 +97,13 @@ def solve_semi_infinite(b, f, T):
     padded with a leading zero so that values[0, t] = f_t for t < T.
     The potential is zero-padded beyond len(b): by finite speed the
     entries b_n with n > T never influence the table, and a shorter b
-    means the tail of the half-line is free.
+    means the tail of the half-line is free.  For the same reason the
+    interval 1..T with its wall at T+1 runs the same recurrence to the
+    same bits on rows 0..T, so that is how the table is computed.
     """
     T = check_horizon(T)
-    f = as_float_array(f, "control")
-    if f.size != T:
-        raise ValueError("horizon and control length mismatch")
-    bp = _padded_potential(b, T)
-    u = np.zeros((T + 1, T + 1))
-    u[0, :T] = f
-    for t in range(T):
-        above = np.concatenate((u[2:, t], [0.0]))
-        prev = u[1:, t - 1] if t >= 1 else 0.0
-        u[1:, t + 1] = above + u[:-1, t] - bp * u[1:, t] - prev
-    return WaveField(u)
+    field = solve_interval(_padded_potential(b, T), T, f, T)
+    return WaveField(field.values[:T + 1])
 
 
 def solve_goursat(b, S):

@@ -9,9 +9,13 @@ Three routes recover the potential from a response kernel prefix
 * invert_factorization   - layer stripping through the triangular
                            factorization of the reversed connecting
                            matrix;
-* invert_gelfand_levitan - the discrete Gelfand-Levitan system, the
-                           same linear systems assembled through the
-                           identity-plus-perturbation form.
+* invert_gelfand_levitan - the discrete Gelfand-Levitan system.
+
+All three rest on the nested family of connecting matrices, so each
+call assembles C^T once and slices it: C^tau is the trailing tau-block
+C^T[T-tau:, T-tau:], and the Gelfand-Levitan system I + C-tilde of
+horizon tau is the leading (tau-1)-block of the reversed matrix C-bar,
+which is exactly the system invert_factorization solves.
 
 characterize_response decides whether a kernel prefix is the response
 of any real potential: the reversed connecting matrix must be positive
@@ -115,16 +119,19 @@ def invert_krein(r, T, config=KreinConfig()):
         C^tau f^tau = beta kappa^tau - alpha R^tau* kappa^tau,
 
     and the trace value is the first control component, y_tau = f^tau_0,
-    with y_0 = alpha.  The adjoint term pairs kappa with observation
-    times: entry t of the paired sequence is kappa_{t} for t < tau and
-    0 at t = tau, matching the summation-by-parts boundary term of the
-    weighted trace identity.  The potential follows from the trace
-    recurrence b_n = (y_{n+1} + y_{n-1}) / y_n; a relatively vanishing
-    y_n raises DegenerateTrace(n).
+    with y_0 = alpha.  C^tau is the trailing tau-block of C^T, entry for
+    entry the same sums, so C^T is assembled once and sliced.  The
+    adjoint term pairs kappa with observation times: entry t of the
+    paired sequence is kappa_{t} for t < tau and 0 at t = tau, matching
+    the summation-by-parts boundary term of the weighted trace
+    identity.  The potential follows from the trace recurrence
+    b_n = (y_{n+1} + y_{n-1}) / y_n; a relatively vanishing y_n raises
+    DegenerateTrace(n).
     """
     r, T = _checked_kernel(r, T)
     if not isinstance(config, KreinConfig):
         raise ValueError("config must be a KreinConfig")
+    C = connecting_matrix(r, T)
     y = np.empty(T + 1)
     y[0] = config.alpha
     for tau in range(1, T + 1):
@@ -133,9 +140,8 @@ def invert_krein(r, T, config=KreinConfig()):
         if config.alpha != 0.0:
             paired = np.append(kap[1:], 0.0)
             rhs = rhs - config.alpha * apply_response_adjoint(r, paired)
-        C = connecting_matrix(r, tau)
         try:
-            f_tau = linalg.solve(C, rhs)
+            f_tau = linalg.solve(C[T - tau:, T - tau:], rhs)
         except linalg.SingularMatrixError as exc:
             raise SingularConnecting(tau) from exc
         y[tau] = f_tau[0]
@@ -181,22 +187,14 @@ def invert_gelfand_levitan(r, T):
 
         (I + C-tilde)[:tau-1, :tau-1] x = -C-tilde[:tau-1, tau-1]
 
-    and the recovered diagonal entry is the last component.  These are
-    the same linear systems as invert_factorization assembled in
-    identity-plus-perturbation form, horizon by horizon.
+    and the recovered diagonal entry is the last component.  The
+    reversed matrix of horizon tau is the leading tau-block of C-bar
+    for horizon T, so I + C-tilde is a leading block of C-bar and the
+    right-hand side the next column above the diagonal: these are the
+    linear systems invert_factorization solves, which this route
+    therefore is.
     """
-    r, T = _checked_kernel(r, T)
-    kdiag = np.zeros(T)
-    for tau in range(2, T + 1):
-        cbar = rotated_connecting(connecting_matrix(r, tau))
-        ctilde = cbar - np.eye(tau)
-        system = np.eye(tau - 1) + ctilde[:tau - 1, :tau - 1]
-        try:
-            x = linalg.solve(system, -ctilde[:tau - 1, tau - 1])
-        except linalg.SingularMatrixError as exc:
-            raise SingularLeadingMinor(tau - 1) from exc
-        kdiag[tau - 1] = x[-1]
-    return np.diff(kdiag)
+    return invert_factorization(r, T)
 
 
 def characterize_response(r, T, tol=Tolerances()):

@@ -298,10 +298,13 @@ class TestRotated:
     def test_leading_blocks_are_shorter_horizons(self):
         rng = np.random.default_rng(41)
         r = np.concatenate(([1.0], rng.uniform(-0.5, 0.5, 14)))
-        cbar = rotated_connecting(connecting_matrix(r, 8))
+        C = connecting_matrix(r, 8)
+        cbar = rotated_connecting(C)
         for ell in (1, 3, 6):
-            small = rotated_connecting(connecting_matrix(r, ell))
-            assert np.array_equal(cbar[:ell, :ell], small)
+            small = connecting_matrix(r, ell)
+            assert np.array_equal(C[8 - ell:, 8 - ell:], small)
+            assert np.array_equal(cbar[:ell, :ell],
+                                  rotated_connecting(small))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

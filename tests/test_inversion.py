@@ -170,7 +170,7 @@ class TestGelfandLevitan:
         r = kernel_of(b, T)
         kdiag_f = np.cumsum(invert_factorization(r, T))
         kdiag_g = np.cumsum(invert_gelfand_levitan(r, T))
-        assert np.max(np.abs(kdiag_f - kdiag_g)) <= 1e-9
+        assert np.array_equal(kdiag_f, kdiag_g)
 
     def test_singular_system(self):
         r = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
