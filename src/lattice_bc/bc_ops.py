@@ -106,12 +106,12 @@ def connecting_matrix(r, T):
     if r.size < 2 * T - 1:
         raise ValueError("kernel too short for horizon")
     C = np.empty((T, T))
-    for i in range(1, T + 1):
-        for j in range(i, T + 1):
-            k = np.arange(0, T - j + 1)
-            value = float(np.sum(r[(j - i) + 2 * k]))
-            C[i - 1, j - 1] = value
-            C[j - 1, i - 1] = value
+    for j in range(1, T + 1):
+        # rows i <= j share T - j + 1 terms; row sums keep np.sum's order
+        idx = (j - np.arange(1, j + 1))[:, None] + 2 * np.arange(T - j + 1)
+        column = np.sum(r[idx], axis=1)
+        C[:j, j - 1] = column
+        C[j - 1, :j] = column
     return C
 
 
@@ -133,19 +133,18 @@ def rotated_connecting(C):
 def connecting_via_waves(b, T):
     """Connecting matrix as the Gram matrix of basis wave fields.
 
-    Column i of W^T is realized by driving the lattice with the basis
-    control e_i; the Gram matrix of the resulting final states equals
-    C^T.  Used as the independent oracle route for connecting_matrix.
+    Column i of W^T is the final state of the lattice driven by the basis
+    control e_i: with zero initial data, the delta-driven state at time
+    T - i, bit for bit, so one simulation yields all states.  Their Gram
+    matrix equals C^T, the independent oracle route for connecting_matrix.
     Requires len(b) >= T - 1.
     """
     T = check_horizon(T)
     b = as_float_array(b, "potential")
     if b.size < T - 1:
         raise ValueError("potential too short for horizon")
-    states = np.empty((T, T))
-    for i in range(T):
-        f = np.zeros(T)
-        f[i] = 1.0
-        field = solve_semi_infinite(b, f, T)
-        states[:, i] = field.values[1:T + 1, T]
+    delta = np.zeros(T)
+    delta[0] = 1.0
+    field = solve_semi_infinite(b, delta, T)
+    states = field.values[1:T + 1, T - np.arange(T)]
     return states.T @ states

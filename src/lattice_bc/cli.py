@@ -202,13 +202,13 @@ def cmd_roundtrip(args):
             admissible_count += 1
         else:
             inadmissible.append(i)
-        runs = {
-            "krein": lambda: invert_krein(r, T),
-            "factorization": lambda: invert_factorization(r, T),
-            "gelfand_levitan": lambda: invert_gelfand_levitan(r, T),
-        }
-        for name, call in runs.items():
-            err, failure = _roundtrip_method(call, b)
+        # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
+        factorization = _roundtrip_method(
+            lambda: invert_factorization(r, T), b)
+        outcomes = {"krein": _roundtrip_method(lambda: invert_krein(r, T), b),
+                    "factorization": factorization,
+                    "gelfand_levitan": factorization}
+        for name, (err, failure) in outcomes.items():
             entry = methods[name]
             if failure is not None:
                 entry["failures"].append(

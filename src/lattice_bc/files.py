@@ -182,9 +182,9 @@ def _table_csv(values, what, corner, first):
     return "\n".join(lines) + "\n"
 
 
-def field_csv(values, label="n"):
+def field_csv(values):
     """CSV for a 2-D table: header of time indices, one row per site."""
-    return _table_csv(values, "field table", label, 0)
+    return _table_csv(values, "field table", "n", 0)
 
 
 def matrix_csv(values):

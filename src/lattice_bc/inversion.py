@@ -19,7 +19,8 @@ which is exactly the system invert_factorization solves.
 
 characterize_response decides whether a kernel prefix is the response
 of any real potential: the reversed connecting matrix must be positive
-definite with every leading principal determinant equal to one.
+definite with every leading principal determinant equal to one; the
+minors and invert_factorization's diagonal share linalg.leading_blocks.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def invert_krein(r, T, config=KreinConfig()):
 
     and the trace value is the first control component, y_tau = f^tau_0,
     with y_0 = alpha.  C^tau is the trailing tau-block of C^T, entry for
-    entry the same sums, so C^T is assembled once and sliced.  The
+    entry the same sums, so C^T is assembled once and sliced, as is
+    kappa^tau = kappa^T[T-tau:], counted back from kappa_T = 0.  The
     adjoint term pairs kappa with observation times: entry t of the
     paired sequence is kappa_{t} for t < tau and 0 at t = tau, matching
     the summation-by-parts boundary term of the weighted trace
@@ -132,13 +134,13 @@ def invert_krein(r, T, config=KreinConfig()):
     if not isinstance(config, KreinConfig):
         raise ValueError("config must be a KreinConfig")
     C = connecting_matrix(r, T)
+    kappa = kappa_seq(T)
     y = np.empty(T + 1)
     y[0] = config.alpha
     for tau in range(1, T + 1):
-        kap = kappa_seq(tau)
-        rhs = config.beta * kap
+        rhs = config.beta * kappa[T - tau:]
         if config.alpha != 0.0:
-            paired = np.append(kap[1:], 0.0)
+            paired = np.append(kappa[T - tau + 1:], 0.0)
             rhs = rhs - config.alpha * apply_response_adjoint(r, paired)
         try:
             f_tau = linalg.solve(C[T - tau:, T - tau:], rhs)
@@ -168,15 +170,10 @@ def invert_factorization(r, T):
     """
     r, T = _checked_kernel(r, T)
     cbar = rotated_connecting(connecting_matrix(r, T))
-    kdiag = np.zeros(T)
-    for ell in range(T - 1):
-        try:
-            x = linalg.solve(cbar[:ell + 1, :ell + 1],
-                             -cbar[:ell + 1, ell + 1])
-        except linalg.SingularMatrixError as exc:
-            raise SingularLeadingMinor(ell + 1) from exc
-        kdiag[ell + 1] = x[-1]
-    return np.diff(kdiag)
+    _, last, singular = linalg.leading_blocks(cbar)
+    if np.any(singular[:-1]):
+        raise SingularLeadingMinor(np.argmax(singular) + 1)
+    return np.diff(np.concatenate(([0.0], last)))
 
 
 def invert_gelfand_levitan(r, T):
@@ -212,7 +209,7 @@ def characterize_response(r, T, tol=Tolerances()):
     if not isinstance(tol, Tolerances):
         raise ValueError("tol must be a Tolerances instance")
     cbar = rotated_connecting(connecting_matrix(r, T))
-    minors = linalg.leading_minors(cbar)
+    minors, _, _ = linalg.leading_blocks(cbar)
     with np.errstate(divide="ignore", invalid="ignore"):
         pivots = minors / np.concatenate(([1.0], minors[:-1]))
     first = None

@@ -1,9 +1,9 @@
 """Dense and tridiagonal linear algebra kernels.
 
 Everything here is deterministic and dependency-free beyond numpy array
-arithmetic: a partially pivoted Gaussian solver and determinant for the
-connecting-operator systems, and a Sturm-bisection eigensolver with
-inverse iteration for Jacobi (tridiagonal, unit off-diagonal) matrices.
+arithmetic: one partially pivoted elimination behind the dense solver
+and the nested leading-block minors, and a Sturm-bisection eigensolver
+with inverse iteration for Jacobi (tridiagonal, unit off-diagonal) matrices.
 numpy.linalg is deliberately not used so that library results and test
 oracles stay independent.
 """
@@ -30,69 +30,72 @@ def _check_square(A):
     return A
 
 
+def _eliminate(M, stop):
+    """Partially pivoted forward elimination of the rows of M, in place.
+
+    Pivots come from the first len(M) columns, so further columns ride
+    along as right-hand sides.  Halts at the first column k whose pivot
+    has magnitude <= stop; returns (k, sign of the row swaps).
+    """
+    sign = 1.0
+    for k in range(len(M)):
+        p = k + int(np.argmax(np.abs(M[k:, k])))
+        if np.abs(M[p, k]) <= stop:
+            return k, sign
+        if p != k:
+            M[[k, p]] = M[[p, k]]
+            sign = -sign
+        mult = M[k + 1:, k] / M[k, k]
+        M[k + 1:, k + 1:] -= np.outer(mult, M[k, k + 1:])
+    return len(M), sign
+
+
 def solve(A, rhs):
     """Solve A x = rhs by Gaussian elimination with partial pivoting.
 
     Raises SingularMatrixError when the pivot falls below the
     roundoff floor of the matrix scale.
     """
-    A = _check_square(A).copy()
-    b = np.asarray(rhs, dtype=float).copy()
+    A = _check_square(A)
+    b = np.asarray(rhs, dtype=float)
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError("right-hand side length mismatch")
     if n == 0:
         return np.zeros(0)
-    scale = np.max(np.abs(A))
-    floor = n * _EPS * scale
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if np.abs(A[p, k]) <= floor:
-            raise SingularMatrixError(f"singular pivot at column {k + 1}")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        mult = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(mult, A[k, k + 1:])
-        b[k + 1:] -= mult * b[k]
+    M = np.ascontiguousarray(np.column_stack((A, b)))
+    k, _ = _eliminate(M, n * _EPS * np.max(np.abs(A)))
+    if k < n:
+        raise SingularMatrixError(f"singular pivot at column {k + 1}")
     x = np.empty(n)
     for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
+        x[k] = (M[k, n] - M[k, k + 1:n] @ x[k + 1:]) / M[k, k]
     return x
 
 
-def det(A):
-    """Determinant via the same pivoted elimination; never raises.
+def leading_blocks(A):
+    """Eliminate each leading block A[:l, :l] once, bordered by -A[:l, l].
 
-    An exactly vanishing pivot column short-circuits to 0.0.
-    """
-    A = _check_square(A).copy()
-    n = A.shape[0]
-    if n == 0:
-        return 1.0
-    sign = 1.0
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            sign = -sign
-        mult = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(mult, A[k, k + 1:])
-    return sign * float(np.prod(np.diag(A)))
-
-
-def leading_minors(A):
-    """Determinants of all leading principal blocks A[:l, :l], l = 1..n.
-
-    Each block is eliminated afresh with partial pivoting; the cost is
-    immaterial at the horizon sizes this library targets and keeps every
-    reported minor an honest pivoted determinant.
+    Returns arrays (minors, last, singular) over l = 1..n: each block's
+    pivoted determinant (0.0 on an exactly zero pivot column before the
+    last); for l < n, x[-1] of A[:l, :l] x = -A[:l, l], NaN if singular;
+    and whether a pivot fell to solve's floor l eps max|A[:l, :l]|.
     """
     A = _check_square(A)
     n = A.shape[0]
-    return np.array([det(A[:l, :l]) for l in range(1, n + 1)])
+    minors = np.empty(n)
+    last = np.full(max(n - 1, 0), np.nan)
+    singular = np.zeros(n, dtype=bool)
+    for l in range(1, n + 1):
+        M = np.hstack((A[:l, :l], -A[:l, l:l + 1]))
+        floor = l * _EPS * np.max(np.abs(A[:l, :l]))
+        k, sign = _eliminate(M, 0.0)
+        pivots = np.diag(M)
+        minors[l - 1] = 0.0 if k < l - 1 else sign * float(np.prod(pivots))
+        singular[l - 1] = np.any(np.abs(pivots[:k + 1]) <= floor)
+        if l < n and not singular[l - 1]:
+            last[l - 1] = M[l - 1, l] / M[l - 1, l - 1]
+    return minors, last, singular
 
 
 # -- Jacobi matrix eigenproblem ---------------------------------------------
