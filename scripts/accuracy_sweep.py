@@ -13,37 +13,19 @@ Usage: python3 scripts/accuracy_sweep.py [--instances 50] [--seed 42]
 
 import argparse
 
-import numpy as np
-
-from lattice_bc import (InversionError, characterize_response,
-                        invert_factorization, invert_gelfand_levitan,
-                        invert_krein, response_kernel)
+from lattice_bc.cli import roundtrip_report
 
 AMPLITUDES = (0.25, 0.5, 1.0, 2.0)
 HORIZONS = (4, 8, 12, 16)
 
 
-def sweep_cell(rng, amplitude, T, instances):
-    worst = {"krein": 0.0, "factorization": 0.0, "gelfand-levitan": 0.0}
-    skipped = {name: 0 for name in worst}
-    inadmissible = 0
-    solvers = {
-        "krein": invert_krein,
-        "factorization": invert_factorization,
-        "gelfand-levitan": invert_gelfand_levitan,
-    }
-    for _ in range(instances):
-        b = rng.uniform(-amplitude, amplitude, T - 1)
-        r = response_kernel(b, 2 * T - 2)
-        if not characterize_response(r, T).admissible:
-            inadmissible += 1
-        for name, solver in solvers.items():
-            try:
-                err = float(np.max(np.abs(solver(r, T) - b)))
-            except InversionError:
-                skipped[name] += 1
-                continue
-            worst[name] = max(worst[name], err)
+def sweep_cell(seed, amplitude, T, instances):
+    """One cell: the `lattice-bc roundtrip --seed <seed+T>` report, tallied."""
+    report = roundtrip_report(seed + T, instances, T, amplitude)
+    methods = report["methods"].items()
+    worst = {name: entry["max_abs_error"] or 0.0 for name, entry in methods}
+    skipped = {name: len(entry["failures"]) for name, entry in methods}
+    inadmissible = len(report["characterization"]["inadmissible_instances"])
     return worst, skipped, inadmissible
 
 
@@ -61,15 +43,12 @@ def main():
     print("-" * len(header))
     for amplitude in AMPLITUDES:
         for T in HORIZONS:
-            rng = np.random.default_rng(args.seed + T)
             worst, skipped, inadmissible = sweep_cell(
-                rng, amplitude, T, args.instances)
-            skip_note = "/".join(
-                str(skipped[k])
-                for k in ("krein", "factorization", "gelfand-levitan"))
+                args.seed, amplitude, T, args.instances)
+            skip_note = "/".join(str(n) for n in skipped.values())
             print(f"{amplitude:>5} {T:>3} {worst['krein']:>10.1e} "
                   f"{worst['factorization']:>10.1e} "
-                  f"{worst['gelfand-levitan']:>10.1e} "
+                  f"{worst['gelfand_levitan']:>10.1e} "
                   f"{skip_note:>12} {inadmissible:>6}")
     print(f"\n{args.instances} instances per cell; skipped column counts "
           "degenerate or singular instances (krein/factor/gl); inadm "

@@ -180,22 +180,20 @@ def _roundtrip_method(invert, b):
     return err, None
 
 
-def cmd_roundtrip(args):
-    if args.instances < 0:
-        raise ValueError("instances must be nonnegative")
-    T = args.horizon
-    if T is None or T < 1:
-        raise ValueError("--horizon is required and must be positive")
-    if not (args.amplitude >= 0.0 and np.isfinite(args.amplitude)):
-        raise ValueError("amplitude must be finite and nonnegative")
-    tol = _tolerances(args)
-    rng = np.random.default_rng(args.seed)
+def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
+    """Round-trip report over instances draws b ~ uniform(-a, a)^(T-1).
+
+    Each draw's kernel (r_0, ..., r_{2T-2}) is characterized and handed
+    to the three solvers; the report tallies per-method successes,
+    worst recovery error and failures, and the inadmissible instances.
+    """
+    rng = np.random.default_rng(seed)
     methods = {name: {"successes": 0, "max_abs_error": None, "failures": []}
                for name in ("krein", "factorization", "gelfand_levitan")}
     admissible_count = 0
     inadmissible = []
-    for i in range(args.instances):
-        b = rng.uniform(-args.amplitude, args.amplitude, T - 1)
+    for i in range(instances):
+        b = rng.uniform(-amplitude, amplitude, T - 1)
         r = response_kernel(b, 2 * T - 2)
         verdict = characterize_response(r, T, tol)
         if verdict.admissible:
@@ -218,12 +216,12 @@ def cmd_roundtrip(args):
                 if (entry["max_abs_error"] is None
                         or err > entry["max_abs_error"]):
                     entry["max_abs_error"] = err
-    report = {
+    return {
         "kind": "roundtrip_report",
-        "seed": args.seed,
-        "instances": args.instances,
+        "seed": seed,
+        "instances": instances,
         "horizon": T,
-        "amplitude": args.amplitude,
+        "amplitude": amplitude,
         "generator": "numpy default_rng (PCG64)",
         "methods": methods,
         "characterization": {
@@ -231,6 +229,18 @@ def cmd_roundtrip(args):
             "inadmissible_instances": inadmissible,
         },
     }
+
+
+def cmd_roundtrip(args):
+    if args.instances < 0:
+        raise ValueError("instances must be nonnegative")
+    T = args.horizon
+    if T is None or T < 1:
+        raise ValueError("--horizon is required and must be positive")
+    if not (args.amplitude >= 0.0 and np.isfinite(args.amplitude)):
+        raise ValueError("amplitude must be finite and nonnegative")
+    report = roundtrip_report(args.seed, args.instances, T, args.amplitude,
+                              _tolerances(args))
     _emit_json(report, args)
     return EXIT_OK
 

@@ -52,9 +52,10 @@ def check_kernel(r, name="kernel"):
     return arr
 
 
-def check_horizon(T):
+def check_horizon(T, name="horizon"):
+    """Validate a positive integer count (horizon, size, order, index)."""
     if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError("horizon must be a positive integer")
+        raise ValueError(f"{name} must be a positive integer")
     return int(T)
 
 
@@ -78,14 +79,16 @@ def chebyshev_seq(t_max, lam):
     Returns (T_0, ..., T_{t_max}) where T_0 = 0, T_1 = 1 and
     T_{t+1} = lam * T_t - T_{t-1}.  These solve the free boundary value
     problem: for b = 0 the wave driven by a delta control is
-    u_{n,t} = T_{t-n+1} shifted to the light cone.
+    u_{n,t} = T_{t-n+1} shifted to the light cone.  lam may also be an
+    array of points; the table then has shape (t_max + 1,) + lam.shape
+    and each column is the sequence at one point.
     """
-    if not isinstance(t_max, (int, np.integer)) or t_max < 1:
-        raise ValueError("t_max must be a positive integer")
-    out = np.empty(int(t_max) + 1)
+    t_max = check_horizon(t_max, "t_max")
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty((t_max + 1,) + lam.shape)
     out[0] = 0.0
     out[1] = 1.0
-    for t in range(1, int(t_max)):
+    for t in range(1, t_max):
         out[t + 1] = lam * out[t] - out[t - 1]
     return out
 

@@ -88,12 +88,8 @@ def _validate_payload(kind, values):
             raise ValueError("spectral values must be [lambda, rho] pairs")
         if not np.all(np.isfinite(arr)):
             raise ValueError("spectral values contain non-finite entries")
-        lam, rho = arr[:, 0], arr[:, 1]
-        if np.any(np.diff(lam) <= 0.0):
-            raise ValueError("eigenvalues must be strictly increasing")
-        if np.any(rho <= 0.0):
-            raise ValueError("norming constants must be positive")
-        mass = float(np.sum(1.0 / rho))
+        sd = SpectralData(eigenvalues=arr[:, 0], norming=arr[:, 1])
+        mass = float(np.sum(1.0 / sd.norming))
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(
                 f"spectral weights must have unit mass (got {mass!r})")

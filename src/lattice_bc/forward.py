@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_float_array, check_horizon
+from .core import as_float_array, chebyshev_seq, check_horizon, convolve
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,10 @@ def solve_goursat(b, S):
     with w_{0,s} = 0 and implicit zeros below the diagonal.  Requires
     len(b) >= S since b_S enters the last diagonal entry.
     """
-    if not isinstance(S, (int, np.integer)) or S < 1:
-        raise ValueError("order must be a positive integer")
+    S = check_horizon(S, "order")
     b = as_float_array(b, "potential")
     if b.size < S:
         raise ValueError("potential too short for requested order")
-    S = int(S)
     w = np.zeros((S + 1, S + 1))
     diag = -np.cumsum(b[:S])
     w[np.arange(1, S + 1), np.arange(1, S + 1)] = diag
@@ -140,12 +138,11 @@ def apply_representation(kernel, f, n, t):
     kernel must cover second indices up to t-1 whenever the sum is
     nonempty.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("site index must be a positive integer")
+    n = check_horizon(n, "site index")
     if not isinstance(t, (int, np.integer)) or t < 0:
         raise ValueError("time index must be nonnegative")
     f = as_float_array(f, "control")
-    n, t = int(n), int(t)
+    t = int(t)
     if t > n and kernel.order < t - 1:
         raise ValueError("kernel coverage insufficient for requested time")
     total = f[t - n] if 0 <= t - n < f.size else 0.0
@@ -163,8 +160,7 @@ def solve_interval(b, N, f, T):
     with u_{N+1,t} = 0 enforced; returns a WaveField of shape
     (N+2, T+1).  Requires len(b) >= N.
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("interval size must be a positive integer")
+    N = check_horizon(N, "interval size")
     T = check_horizon(T)
     f = as_float_array(f, "control")
     if f.size != T:
@@ -172,7 +168,6 @@ def solve_interval(b, N, f, T):
     b = as_float_array(b, "potential")
     if b.size < N:
         raise ValueError("potential too short for interval size")
-    N = int(N)
     v = np.zeros((N + 2, T + 1))
     v[0, :T] = f
     bn = b[:N]
@@ -192,8 +187,6 @@ def interval_fourier_solution(sd, f, T):
     lambda_k, weighted by 1/rho_k.  Requires eigenvectors in sd.
     Returns a WaveField of shape (N+2, T+1) matching solve_interval.
     """
-    from .core import chebyshev_seq, convolve
-
     if sd.eigenvectors is None:
         raise ValueError("spectral data must include eigenvectors")
     T = check_horizon(T)
@@ -203,8 +196,8 @@ def interval_fourier_solution(sd, f, T):
     N = sd.size
     v = np.zeros((N + 2, T + 1))
     v[0, :T] = f
+    cheb = chebyshev_seq(T, sd.eigenvalues)
     for k in range(N):
-        cheb = chebyshev_seq(T, sd.eigenvalues[k])
-        coeff = convolve(cheb, f)[:T + 1] / sd.norming[k]
+        coeff = convolve(cheb[:, k], f)[:T + 1] / sd.norming[k]
         v[1:N + 1] += np.outer(sd.eigenvectors[k], coeff)
     return WaveField(v)

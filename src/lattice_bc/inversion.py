@@ -34,6 +34,9 @@ from .bc_ops import (apply_response_adjoint, connecting_matrix,
                      rotated_connecting)
 from .core import Tolerances, check_horizon, check_kernel, kappa_seq
 
+# relative floor below which a Krein trace value counts as vanished
+_DEGENERACY_TOL = 1e-8
+
 
 class InversionError(Exception):
     """Base class for failures of the inverse solvers."""
@@ -69,21 +72,17 @@ class KreinConfig:
     """Boundary data (alpha, beta) of the lambda = 0 comparison solution.
 
     The recovered trace satisfies y_0 = alpha, y_1 = beta; the default
-    (0, 1) is the Dirichlet-like normalization.  degeneracy_tol is the
-    relative floor below which a trace value counts as vanished.
+    (0, 1) is the Dirichlet-like normalization.
     """
 
     alpha: float = 0.0
     beta: float = 1.0
-    degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("alpha and beta must not both vanish")
-        if not np.isfinite(self.degeneracy_tol) or self.degeneracy_tol < 0.0:
-            raise ValueError("degeneracy_tol must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def invert_krein(r, T, config=KreinConfig()):
     scale = float(np.max(np.abs(y)))
     b = np.empty(T - 1)
     for n in range(1, T):
-        if np.abs(y[n]) <= config.degeneracy_tol * scale:
+        if np.abs(y[n]) <= _DEGENERACY_TOL * scale:
             raise DegenerateTrace(n)
         b[n - 1] = (y[n + 1] + y[n - 1]) / y[n]
     return b

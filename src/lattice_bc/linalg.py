@@ -14,6 +14,11 @@ import numpy as np
 
 _EPS = np.finfo(float).eps
 
+# iteration caps of the eigensolver: bisection halvings per eigenvalue
+# and inverse-iteration sweeps per eigenvector
+_BISECTION_STEPS = 160
+_INVERSE_SWEEPS = 12
+
 
 class SingularMatrixError(Exception):
     """Elimination hit a pivot column with no usable pivot."""
@@ -119,7 +124,7 @@ def _sturm_counts(d, e2, xs, pivmin):
     return count
 
 
-def tridiag_eigenvalues(d, e, max_iter=160):
+def tridiag_eigenvalues(d, e):
     """All eigenvalues, ascending, of the symmetric tridiagonal (d, e).
 
     Bisection on Sturm sign counts: bracketed by Gershgorin bounds,
@@ -148,7 +153,7 @@ def tridiag_eigenvalues(d, e, max_iter=160):
     lower = np.full(n, lo)
     upper = np.full(n, hi)
     target = np.arange(1, n + 1)
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_STEPS):
         width = upper - lower
         tol = _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin
         if np.all(width <= tol):
@@ -207,7 +212,7 @@ def _tridiag_apply(d, e, v):
     return out
 
 
-def tridiag_eigenvector(d, e, lam, ortho=(), rel_tol=1e-10, max_sweeps=12):
+def tridiag_eigenvector(d, e, lam, ortho=(), rel_tol=1e-10):
     """Unit eigenvector of (d, e) for the precomputed eigenvalue lam.
 
     Inverse iteration from a deterministic start, re-orthogonalized
@@ -223,7 +228,7 @@ def tridiag_eigenvector(d, e, lam, ortho=(), rel_tol=1e-10, max_sweeps=12):
     pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * norm_t)
     shifted = d - lam
     v = np.full(n, 1.0 / np.sqrt(n))
-    for sweep in range(max_sweeps):
+    for sweep in range(_INVERSE_SWEEPS):
         for u in ortho:
             v -= (u @ v) * u
         nv = float(np.sqrt(v @ v))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import linalg
 from .core import Tolerances, as_float_array, chebyshev_seq, check_horizon
+from .inversion import invert_factorization
 from .linalg import ConvergenceFailure
 
 __all__ = [
@@ -126,12 +127,11 @@ class SpectralMeasure:
 
 def build_hamiltonian(b, N):
     """Interval Hamiltonian of size N for the potential b (len(b) >= N)."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("size must be a positive integer")
+    N = check_horizon(N, "size")
     b = as_float_array(b, "potential")
     if b.size < N:
         raise ValueError("potential too short for requested size")
-    return Hamiltonian(diag=-b[:int(N)].copy())
+    return Hamiltonian(diag=-b[:N].copy())
 
 
 def eigen_decompose(H, tol=Tolerances()):
@@ -183,15 +183,14 @@ def phi_polynomial(b, lam, N):
     size-N Hamiltonian, and then (phi_1, ..., phi_N) is the rescaled
     eigenvector.  Requires len(b) >= N.
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError("size must be a positive integer")
+    N = check_horizon(N, "size")
     b = as_float_array(b, "potential")
     if b.size < N:
         raise ValueError("potential too short for requested size")
-    phi = np.zeros(int(N) + 2)
+    phi = np.zeros(N + 2)
     phi[0] = 0.0
     phi[1] = 1.0
-    for i in range(1, int(N) + 1):
+    for i in range(1, N + 1):
         phi[i + 1] = (lam + b[i - 1]) * phi[i] - phi[i - 1]
     return phi
 
@@ -215,13 +214,11 @@ def kernel_from_spectral(sd, K, dirichlet_correction=False):
         raise ValueError("kernel order beyond spectral validity range")
     K = int(K)
     weights = 1.0 / sd.norming
+    table = chebyshev_seq(K + 1, sd.eigenvalues)
     r = np.empty(K + 1)
     r[0] = 1.0
-    t_prev = np.zeros(N)
-    t_cur = np.ones(N)
-    for s in range(1, K + 1):
-        t_prev, t_cur = t_cur, sd.eigenvalues * t_cur - t_prev
-        r[s] = float(weights @ t_cur)
+    # one dot per entry: a single table @ weights may round differently
+    r[1:] = [weights @ row for row in table[2:]]
     if dirichlet_correction and K == 2 * N:
         r[K] += 1.0
     return r
@@ -240,13 +237,7 @@ def connecting_from_spectral(sd, T):
     N = sd.size
     if T > N:
         raise ValueError("horizon exceeds interval size")
-    cheb = np.empty((T, N))
-    t_prev = np.zeros(N)
-    t_cur = np.ones(N)
-    cheb[T - 1] = t_cur
-    for j in range(2, T + 1):
-        t_prev, t_cur = t_cur, sd.eigenvalues * t_cur - t_prev
-        cheb[T - j] = t_cur
+    cheb = chebyshev_seq(T, sd.eigenvalues)[T:0:-1]
     return cheb @ np.diag(1.0 / sd.norming) @ cheb.T
 
 
@@ -266,8 +257,6 @@ def invert_spectral(sd):
     N + 1; the correction buys exactly the extra kernel entry needed
     for the last potential value.
     """
-    from .inversion import invert_factorization
-
     if not isinstance(sd, SpectralData):
         raise ValueError("sd must be SpectralData")
     N = sd.size

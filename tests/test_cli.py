@@ -7,7 +7,8 @@ import pytest
 
 from lattice_bc import files
 from lattice_bc.bc_ops import connecting_matrix, response_kernel
-from lattice_bc.cli import main
+from lattice_bc.cli import main, roundtrip_report
+from lattice_bc.core import Tolerances
 
 
 def write_doc(path, kind, values, meta=None):
@@ -290,6 +291,13 @@ class TestRoundtrip:
     def test_bad_arguments_exit_2(self, capsys):
         assert main(["roundtrip", "--instances", "-1",
                      "--horizon", "4"]) == 2
+
+    def test_output_is_the_report_function(self, capsys):
+        assert main(["roundtrip", "--instances", "12", "--horizon", "10",
+                     "--amplitude", "0.8", "--seed", "3",
+                     "--tol-det", "1e-6"]) == 0
+        report = roundtrip_report(3, 12, 10, 0.8, Tolerances(det_tol=1e-6))
+        assert capsys.readouterr().out == files.dumps_json(report) + "\n"
 
 
 class TestStdinOutput:

@@ -89,6 +89,14 @@ class TestChebyshev:
         with pytest.raises(ValueError):
             chebyshev_seq(0, 1.0)
 
+    def test_array_columns_equal_scalar_calls(self):
+        lam = np.concatenate(
+            ([-0.0, 2.0], np.random.default_rng(5).uniform(-2.5, 2.5, 8)))
+        table = chebyshev_seq(24, lam)
+        assert table.shape == (25, lam.size)
+        for k, point in enumerate(lam):
+            assert np.array_equal(table[:, k], chebyshev_seq(24, point))
+
 
 class TestKappa:
     def test_small_horizons(self):

@@ -86,8 +86,6 @@ class TestKrein:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KreinConfig(alpha=0.0, beta=0.0)
-        with pytest.raises(ValueError):
-            KreinConfig(degeneracy_tol=-1.0)
 
     def test_trivial_horizon(self):
         assert invert_krein([1.0], 1).size == 0

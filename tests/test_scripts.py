@@ -1,0 +1,36 @@
+"""Smoke runs of the example scripts as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_accuracy_sweep_tabulates_every_cell():
+    out = run_script("accuracy_sweep.py", "--instances", "2")
+    rows = [line.split() for line in out.splitlines()]
+    cells = [row for row in rows if len(row) == 7 and row[1].isdigit()]
+    assert len(cells) == 16
+    assert {(float(r[0]), int(r[1])) for r in cells} == {
+        (a, T) for a in (0.25, 0.5, 1.0, 2.0) for T in (4, 8, 12, 16)}
+
+
+def test_reflection_demo_shows_unit_jump():
+    out = run_script("reflection_demo.py", "--size", "3")
+    jump = [line for line in out.splitlines()
+            if line.startswith("jump at s = 6:")]
+    assert len(jump) == 1
+    assert abs(float(jump[0].split()[5]) - 1.0) <= 1e-9
