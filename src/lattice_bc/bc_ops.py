@@ -2,10 +2,11 @@
 
 The response kernel r is the boundary trace of the delta-driven wave,
 r_s = u^delta_{1,s+1}; it is also the first row of the triangular
-kernel, r_s = w_{1,s} with r_0 = 1.  Everything the inverse solvers
-need is assembled here from r alone: the time convolution R, its
+kernel, r_s = w_{1,s} with r_0 = 1.  The operators of the boundary control
+method are assembled here from r alone: the time convolution R, its
 adjoint, the control-to-state matrix W^T, and the connecting (Gram)
-matrix C^T together with its reversed-index form.
+matrix C^T together with its reversed-index form, which the inverse
+solvers factor straight from r without assembling it.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def rotated_connecting(C):
     C-bar_{ij} = C_{T+1-j, T+1-i}; the first row of C-bar is the kernel
     prefix (1, r_1, ..., r_{T-1}) and every leading principal block is
     the reversed-index connecting matrix of the shorter horizon, which
-    is what the layer-stripping solvers and the characterization test
-    consume.
+    is the matrix whose LDL^T factorization the inverse solvers and the
+    characterization test read.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:

@@ -11,16 +11,19 @@ Three routes recover the potential from a response kernel prefix
                            matrix;
 * invert_gelfand_levitan - the discrete Gelfand-Levitan system.
 
-All three rest on the nested family of connecting matrices, so each
-call assembles C^T once and slices it: C^tau is the trailing tau-block
-C^T[T-tau:, T-tau:], and the Gelfand-Levitan system I + C-tilde of
-horizon tau is the leading (tau-1)-block of the reversed matrix C-bar,
-which is exactly the system invert_factorization solves.
+All three, and characterize_response, read one LDL^T factorization of
+the reversed connecting matrix C-bar.  C-bar is the Gram matrix of the
+lattice Chebyshev values T_{s+1} under the functional with moments r_s,
+so the modified Chebyshev algorithm (_moment_recursion) computes that
+factorization, and the Jacobi coefficients of the potential, from r in
+O(T^2).  Its pivots give the leading minors; the Gelfand-Levitan
+systems are leading blocks of C-bar, so that route is the
+factorization; the Krein systems of all horizons share one forward
+substitution with L.
 
-characterize_response decides whether a kernel prefix is the response
-of any real potential: the reversed connecting matrix must be positive
-definite with every leading principal determinant equal to one; the
-minors and invert_factorization's diagonal share linalg.leading_blocks.
+The recursion runs in numpy's long double.  On platforms where that
+type is float64 (ARM macOS, Windows) it runs in float64, so verdict
+bits and borderline outcomes can differ there.
 """
 
 from __future__ import annotations
@@ -29,13 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .bc_ops import (apply_response_adjoint, connecting_matrix,
-                     rotated_connecting)
+from .bc_ops import apply_response_adjoint
 from .core import Tolerances, check_horizon, check_kernel, kappa_seq
 
 # relative floor below which a Krein trace value counts as vanished
 _DEGENERACY_TOL = 1e-8
+# The solvers' pivot floor, in units of the rounding scale
+# (k + 1) eps max(diag C-bar) of an order-(k + 1) elimination.  A pivot
+# only a few hundred roundings above that scale has no correct digits
+# left, and the recursion then returns a wrong answer instead of
+# raising: with the factor 1 instead of 1000, 9 of the 15 raising
+# factorization instances at T = 64, amplitude 0.3 (seed 0, 50 draws)
+# came back wrong.
+_PIVOT_MARGIN = 1000.0
+_EPS = np.finfo(float).eps
 
 
 class InversionError(Exception):
@@ -90,10 +100,12 @@ class CharacterizationVerdict:
     """Outcome of the admissibility test for a kernel prefix.
 
     minor_values[l-1] holds det of the order-l leading block of the
-    reversed connecting matrix; pivot_values are the successive ratios
-    (the elimination pivots of the positive definite check).
-    first_failing_order is the smallest l violating either condition,
-    or None when admissible.
+    reversed connecting matrix and pivot_values[l-1] its last LDL^T
+    pivot, the ratio of successive minors, for l = 1..m: m is the last
+    order the moment recursion reached, T unless a pivot was exactly
+    zero (order m, included) or a value overflowed float64 (order
+    m + 1, left out).  first_failing_order is the smallest l violating
+    either condition, or None when admissible.
     """
 
     admissible: bool
@@ -110,69 +122,119 @@ def _checked_kernel(r, T):
     return r, T
 
 
+def _moment_recursion(r, T):
+    """LDL^T of C-bar and the Jacobi coefficients, from r_0..r_{2T-2}.
+
+    The modified Chebyshev algorithm (Sack & Donovan 1971; Wheeler
+    1974; Gautschi 2004, section 2.1.7) with modified moments r_l in
+    the basis lambda p_l = p_{l+1} + p_{l-1}: sigma_{0,l} = r_l and,
+    for k >= 1 and l = k..2T-k-2,
+
+        sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l}
+                      - beta_{k-1} sigma_{k-2,l} + sigma_{k-1,l-1},
+
+    with alpha_k = L_{k+1,k} - L_{k,k-1}, beta_k = d_k / d_{k-1},
+    pivots d_k = sigma_{k,k} and L_{ik} = sigma_{k,i} / sigma_{k,k}, so
+    that C-bar = L diag(d) L^T.  b_{k+1} = -alpha_k for response data.
+
+    Returns long double (alpha, d, L), stopping at the first pivot that
+    is zero or not finite: d ends with it, alpha has len(d) - 1 entries
+    and L unit columns from there on.
+    """
+    n = 2 * T - 1
+    sigma = np.asarray(r[:n], dtype=np.longdouble)
+    older = np.zeros(n, dtype=np.longdouble)
+    alpha = np.empty(T - 1, dtype=np.longdouble)
+    d = np.empty(T, dtype=np.longdouble)
+    L = np.eye(T, dtype=np.longdouble)
+    for k in range(T):
+        if k:
+            lo, hi = k, n - k
+            row = np.zeros(n, dtype=np.longdouble)
+            row[lo:hi] = (sigma[lo + 1:hi + 1] - alpha[k - 1] * sigma[lo:hi]
+                          - beta * older[lo:hi] + sigma[lo - 1:hi - 1])
+            older, sigma = sigma, row
+        d[k] = sigma[k]
+        if d[k] == 0 or not np.isfinite(d[k]):
+            return alpha[:k], d[:k + 1], L
+        L[k:, k] = sigma[k:T] / d[k]
+        if k < T - 1:
+            alpha[k] = L[k + 1, k] - (L[k, k - 1] if k else 0)
+        beta = d[k] / d[k - 1] if k else d[k]
+    return alpha, d, L
+
+
+def _checked_recursion(r, T, order, error):
+    """_moment_recursion with the solvers' pivot floor.
+
+    Raises error(k + 1) at the first pivot d_k, k < order, that is not
+    finite or not above _PIVOT_MARGIN (k + 1) eps s_k, where s_k, the
+    largest |r_0 + r_2 + ... + r_{2j}| over j <= k, is the largest
+    diagonal entry of C-bar's order-(k + 1) block (its largest entry
+    when the block is positive definite).
+    """
+    alpha, d, L = _moment_recursion(r, T)
+    scale = np.maximum.accumulate(np.abs(np.cumsum(r[:2 * order:2])))
+    floor = _PIVOT_MARGIN * _EPS * np.arange(1, order + 1) * scale
+    d_head = d[:order]
+    failed = ~(np.isfinite(d_head) & (np.abs(d_head) > floor[:d_head.size]))
+    if np.any(failed):
+        raise error(np.argmax(failed) + 1)
+    return alpha, d, L
+
+
 def invert_krein(r, T, config=KreinConfig()):
     """Recover (b_1, ..., b_{T-1}) through the lambda = 0 trace.
 
     For each horizon tau = 1..T the control f^tau steering the system
-    to the harmonic weight is found from the connecting system
+    to the harmonic weight solves the connecting system
 
         C^tau f^tau = beta kappa^tau - alpha R^tau* kappa^tau,
 
     and the trace value is the first control component, y_tau = f^tau_0,
-    with y_0 = alpha.  C^tau is the trailing tau-block of C^T, entry for
-    entry the same sums, so C^T is assembled once and sliced, as is
-    kappa^tau = kappa^T[T-tau:], counted back from kappa_T = 0.  The
-    adjoint term pairs kappa with observation times: entry t of the
-    paired sequence is kappa_{t} for t < tau and 0 at t = tau, matching
-    the summation-by-parts boundary term of the weighted trace
-    identity.  The potential follows from the trace recurrence
-    b_n = (y_{n+1} + y_{n-1}) / y_n; a relatively vanishing y_n raises
-    DegenerateTrace(n).
+    with y_0 = alpha.  kappa^tau = kappa^T[T-tau:] is counted back from
+    kappa_T = 0; the adjoint term pairs kappa with observation times,
+    entry t of the paired sequence being kappa_{t} for t < tau and 0
+    at t = tau (the summation-by-parts boundary term of the weighted
+    trace identity).  Reversed, C^tau is the leading tau-block of C-bar
+    and the right-hand sides are prefixes of one vector g, so
+    y_tau = z_{tau-1} / d_{tau-1} for z = L^{-1} g.  The potential
+    follows from b_n = (y_{n+1} + y_{n-1}) / y_n; a relatively vanishing
+    y_n raises DegenerateTrace(n), a pivot at the floor
+    SingularConnecting(tau).
     """
     r, T = _checked_kernel(r, T)
     if not isinstance(config, KreinConfig):
         raise ValueError("config must be a KreinConfig")
-    C = connecting_matrix(r, T)
+    _, d, L = _checked_recursion(r, T, T, SingularConnecting)
     kappa = kappa_seq(T)
-    y = np.empty(T + 1)
-    y[0] = config.alpha
-    for tau in range(1, T + 1):
-        rhs = config.beta * kappa[T - tau:]
-        if config.alpha != 0.0:
-            paired = np.append(kappa[T - tau + 1:], 0.0)
-            rhs = rhs - config.alpha * apply_response_adjoint(r, paired)
-        try:
-            f_tau = linalg.solve(C[T - tau:, T - tau:], rhs)
-        except linalg.SingularMatrixError as exc:
-            raise SingularConnecting(tau) from exc
-        y[tau] = f_tau[0]
-    scale = float(np.max(np.abs(y)))
-    b = np.empty(T - 1)
-    for n in range(1, T):
-        if np.abs(y[n]) <= _DEGENERACY_TOL * scale:
-            raise DegenerateTrace(n)
-        b[n - 1] = (y[n + 1] + y[n - 1]) / y[n]
-    return b
+    g = config.beta * kappa[::-1]
+    if config.alpha != 0.0:
+        paired = np.append(kappa[1:], 0.0)
+        g = g - config.alpha * apply_response_adjoint(r, paired)[::-1]
+    z = np.asarray(g, dtype=np.longdouble)
+    for k in range(T - 1):
+        z[k + 1:] -= L[k + 1:, k] * z[k]
+    y = np.concatenate(([config.alpha], z / d))
+    vanished = np.abs(y[1:T]) <= _DEGENERACY_TOL * np.max(np.abs(y))
+    if np.any(vanished):
+        raise DegenerateTrace(np.argmax(vanished) + 1)
+    return ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
 
 
 def invert_factorization(r, T):
     """Recover (b_1, ..., b_{T-1}) by triangular factorization.
 
-    The reversed connecting matrix admits C-bar = (I + K-bar)^T
-    (I + K-bar) with K-bar strictly upper triangular, and the diagonal
-    of the triangular factor carries the cumulative potential:
-    k_{ll} = -(b_1 + ... + b_l) up to sign convention, so successive
-    differences of the recovered diagonal give b.  Column l + 1 of the
-    factor solves the order-l leading system against the next column
-    of C-bar; only leading blocks enter, so entries of r beyond index
-    2T - 2 can never influence the result.
+    In C-bar = L diag(d) L^T the subdiagonal of L carries the cumulative
+    potential, L_{l+1,l} = -(b_1 + ... + b_{l+1}), so its successive
+    differences, the Jacobi coefficients alpha, give b_n = -alpha_{n-1}.
+    Only the leading blocks of order 1..T-1 enter, so entries of r
+    beyond index 2T - 2 can never influence the result; a pivot at the
+    floor raises SingularLeadingMinor(order).
     """
     r, T = _checked_kernel(r, T)
-    cbar = rotated_connecting(connecting_matrix(r, T))
-    _, last, singular = linalg.leading_blocks(cbar)
-    if np.any(singular[:-1]):
-        raise SingularLeadingMinor(np.argmax(singular) + 1)
-    return np.diff(np.concatenate(([0.0], last)))
+    alpha, _, _ = _checked_recursion(r, T, T - 1, SingularLeadingMinor)
+    return -alpha.astype(float)
 
 
 def invert_gelfand_levitan(r, T):
@@ -199,25 +261,27 @@ def characterize_response(r, T, tol=Tolerances()):
     Admissible means the prefix is the response kernel of some real
     potential of length T - 1, which holds iff the reversed connecting
     matrix is positive definite with every leading principal
-    determinant equal to one.  Both facts are read off the leading
-    minors: |m_l - 1| <= det_tol and the pivot ratios
-    m_l / m_{l-1} > pivot_tol for l = 1..T.  Inadmissibility is a
+    determinant equal to one.  Both facts are read off the LDL^T
+    pivots d of the moment recursion, with no floor: the minors
+    m_l = d_0 ... d_{l-1} must satisfy |m_l - 1| <= det_tol and the
+    pivots d_{l-1} > pivot_tol for l = 1..T.  Inadmissibility is a
     verdict, not an error.
     """
     r, T = _checked_kernel(r, T)
     if not isinstance(tol, Tolerances):
         raise ValueError("tol must be a Tolerances instance")
-    cbar = rotated_connecting(connecting_matrix(r, T))
-    minors, _, _ = linalg.leading_blocks(cbar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pivots = minors / np.concatenate(([1.0], minors[:-1]))
-    first = None
-    for ell in range(T):
-        det_ok = np.abs(minors[ell] - 1.0) <= tol.det_tol
-        pivot_ok = pivots[ell] > tol.pivot_tol
-        if not (det_ok and pivot_ok):
-            first = ell + 1
-            break
+    _, d, _ = _moment_recursion(r, T)
+    with np.errstate(over="ignore"):
+        minors = np.cumprod(d).astype(float)
+        pivots = d.astype(float)
+    finite = np.isfinite(minors) & np.isfinite(pivots)
+    m = d.size if np.all(finite) else int(np.argmin(finite))
+    minors, pivots = minors[:m], pivots[:m]
+    # orders past a zero pivot or a float64 overflow fail unreported
+    passed = np.zeros(T, dtype=bool)
+    passed[:m] = ((np.abs(minors - 1.0) <= tol.det_tol)
+                  & (pivots > tol.pivot_tol))
+    first = None if np.all(passed) else int(np.argmin(passed)) + 1
     return CharacterizationVerdict(
         admissible=first is None,
         first_failing_order=first,

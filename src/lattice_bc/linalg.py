@@ -1,11 +1,10 @@
-"""Dense and tridiagonal linear algebra kernels.
+"""Tridiagonal linear algebra kernels.
 
 Everything here is deterministic and dependency-free beyond numpy array
-arithmetic: one partially pivoted elimination behind the dense solver
-and the nested leading-block minors, and a Sturm-bisection eigensolver
-with inverse iteration for Jacobi (tridiagonal, unit off-diagonal) matrices.
-numpy.linalg is deliberately not used so that library results and test
-oracles stay independent.
+arithmetic: a Sturm-bisection eigensolver with inverse iteration for
+Jacobi (tridiagonal, unit off-diagonal) matrices.  numpy.linalg is
+deliberately not used so that library results and test oracles stay
+independent.
 """
 
 from __future__ import annotations
@@ -20,90 +19,8 @@ _BISECTION_STEPS = 160
 _INVERSE_SWEEPS = 12
 
 
-class SingularMatrixError(Exception):
-    """Elimination hit a pivot column with no usable pivot."""
-
-
 class ConvergenceFailure(Exception):
     """Eigen iteration did not reach the requested residual."""
-
-
-def _check_square(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    return A
-
-
-def _eliminate(M, stop):
-    """Partially pivoted forward elimination of the rows of M, in place.
-
-    Pivots come from the first len(M) columns, so further columns ride
-    along as right-hand sides.  Halts at the first column k whose pivot
-    has magnitude <= stop; returns (k, sign of the row swaps).
-    """
-    sign = 1.0
-    for k in range(len(M)):
-        p = k + int(np.argmax(np.abs(M[k:, k])))
-        if np.abs(M[p, k]) <= stop:
-            return k, sign
-        if p != k:
-            M[[k, p]] = M[[p, k]]
-            sign = -sign
-        mult = M[k + 1:, k] / M[k, k]
-        M[k + 1:, k + 1:] -= np.outer(mult, M[k, k + 1:])
-    return len(M), sign
-
-
-def solve(A, rhs):
-    """Solve A x = rhs by Gaussian elimination with partial pivoting.
-
-    Raises SingularMatrixError when the pivot falls below the
-    roundoff floor of the matrix scale.
-    """
-    A = _check_square(A)
-    b = np.asarray(rhs, dtype=float)
-    n = A.shape[0]
-    if b.shape != (n,):
-        raise ValueError("right-hand side length mismatch")
-    if n == 0:
-        return np.zeros(0)
-    M = np.ascontiguousarray(np.column_stack((A, b)))
-    k, _ = _eliminate(M, n * _EPS * np.max(np.abs(A)))
-    if k < n:
-        raise SingularMatrixError(f"singular pivot at column {k + 1}")
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (M[k, n] - M[k, k + 1:n] @ x[k + 1:]) / M[k, k]
-    return x
-
-
-def leading_blocks(A):
-    """Eliminate each leading block A[:l, :l] once, bordered by -A[:l, l].
-
-    Returns arrays (minors, last, singular) over l = 1..n: each block's
-    pivoted determinant (0.0 on an exactly zero pivot column before the
-    last); for l < n, x[-1] of A[:l, :l] x = -A[:l, l], NaN if singular;
-    and whether a pivot fell to solve's floor l eps max|A[:l, :l]|.
-    """
-    A = _check_square(A)
-    n = A.shape[0]
-    minors = np.empty(n)
-    last = np.full(max(n - 1, 0), np.nan)
-    singular = np.zeros(n, dtype=bool)
-    for l in range(1, n + 1):
-        M = np.hstack((A[:l, :l], -A[:l, l:l + 1]))
-        floor = l * _EPS * np.max(np.abs(A[:l, :l]))
-        k, sign = _eliminate(M, 0.0)
-        pivots = np.diag(M)
-        minors[l - 1] = 0.0 if k < l - 1 else sign * float(np.prod(pivots))
-        singular[l - 1] = np.any(np.abs(pivots[:k + 1]) <= floor)
-        if l < n and not singular[l - 1]:
-            last[l - 1] = M[l - 1, l] / M[l - 1, l - 1]
-    return minors, last, singular
-
-
-# -- Jacobi matrix eigenproblem ---------------------------------------------
 
 
 def _sturm_counts(d, e2, xs, pivmin):

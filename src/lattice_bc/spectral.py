@@ -18,7 +18,6 @@ import numpy as np
 
 from . import linalg
 from .core import Tolerances, as_float_array, chebyshev_seq, check_horizon
-from .inversion import invert_factorization
 from .linalg import ConvergenceFailure
 
 __all__ = [
@@ -252,13 +251,22 @@ def spectral_measure(sd):
 def invert_spectral(sd):
     """Recover (b_1, ..., b_N) from spectral data of size N.
 
-    Extends the spectral kernel to index 2N with the Dirichlet
-    correction and hands it to the layer-stripping solver at horizon
-    N + 1; the correction buys exactly the extra kernel entry needed
-    for the last potential value.
+    In its eigenbasis the Hamiltonian is diag(lambda) and e_1 is
+    sqrt(1 / rho), so Lanczos from that start vector rebuilds the
+    diagonal -b (de Boor & Golub, Linear Algebra Appl. 21, 1978)
+    without the ill-conditioned moments; each new vector is
+    Gram-Schmidt reorthogonalized twice against all earlier ones.
     """
     if not isinstance(sd, SpectralData):
         raise ValueError("sd must be SpectralData")
     N = sd.size
-    r = kernel_from_spectral(sd, 2 * N, dirichlet_correction=True)
-    return invert_factorization(r, N + 1)
+    lam = sd.eigenvalues
+    Q = np.empty((N, N))
+    Q[0] = np.sqrt(1.0 / sd.norming)
+    Q[0] /= np.sqrt(Q[0] @ Q[0])
+    for n in range(N - 1):
+        v = lam * Q[n]
+        for _ in range(2):
+            v -= (Q[:n + 1] @ v) @ Q[:n + 1]
+        Q[n + 1] = v / np.sqrt(v @ v)
+    return -((Q * Q) @ lam)

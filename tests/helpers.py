@@ -3,11 +3,14 @@
 Everything here is written directly from the defining formulas, on
 purpose duplicating nothing from the library internals: scalar-loop
 wave evolution, brute-force convolution, cofactor-expansion
-determinants, the reversed connecting matrix assembled entrywise, and
-the admissible-kernel constructor that forces even entries through the
+determinants, the reversed connecting matrix assembled entrywise, its
+exact rational LDL^T and the Krein systems solved exactly, and the
+admissible-kernel constructor that forces even entries through the
 unit-determinant condition.  numpy.linalg appears only here and never
 inside the library, so cross-checks are genuinely two-route.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +95,87 @@ def cbar_direct(r, T):
             out[i - 1, j - 1] = sum(
                 r[abs(i - j) + 2 * k] for k in range(min(i, j)))
     return out
+
+
+def leading_minors(A):
+    """Determinants of the leading blocks A[:l, :l], l = 1..n (LAPACK)."""
+    A = np.asarray(A, dtype=float)
+    return np.array([np.linalg.det(A[:l, :l])
+                     for l in range(1, A.shape[0] + 1)])
+
+
+def exact_cbar(r, T):
+    """cbar_direct in rationals, from the exact values of the floats r."""
+    q = [Fraction(float(x)) for x in r[:2 * T - 1]]
+    return [[sum(q[abs(i - j) + 2 * k] for k in range(min(i, j) + 1))
+             for j in range(T)] for i in range(T)]
+
+
+def exact_ldl(A):
+    """Unpivoted LDL^T of a rational matrix by Gaussian elimination.
+
+    Returns (L, d) as nested lists of Fractions, L unit lower
+    triangular; stops after the first zero pivot, so len(d) may be
+    shorter than the order.
+    """
+    n = len(A)
+    U = [list(row) for row in A]
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = []
+    for k in range(n):
+        d.append(U[k][k])
+        if U[k][k] == 0:
+            break
+        for i in range(k + 1, n):
+            L[i][k] = U[i][k] / U[k][k]
+            for j in range(k, n):
+                U[i][j] -= L[i][k] * U[k][j]
+    return L, d
+
+
+def exact_solve(A, rhs):
+    """Solve the rational system A x = rhs by Gauss-Jordan elimination
+    with the first nonzero pivot of each column."""
+    n = len(A)
+    M = [list(row) + [rhs[i]] for i, row in enumerate(A)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if M[i][k] != 0)
+        M[k], M[p] = M[p], M[k]
+        for i in range(n):
+            if i != k and M[i][k] != 0:
+                f = M[i][k] / M[k][k]
+                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def exact_factorization(r, T):
+    """b-hat of the float kernel r in exact arithmetic: minus the
+    differences of the subdiagonal of the exact L of C-bar."""
+    L, _ = exact_ldl(exact_cbar(r, T))
+    sub = [Fraction(0)] + [L[n][n - 1] for n in range(1, T)]
+    return np.array([float(sub[n - 1] - sub[n]) for n in range(1, T)])
+
+
+def exact_krein(r, T, alpha, beta):
+    """b-hat of the float kernel r through the lambda = 0 trace, each
+    connecting system C^tau f = beta kappa - alpha R* paired solved
+    exactly (kappa cycles 0, +1, 0, -1 back from kappa_T = 0)."""
+    q = [Fraction(float(x)) for x in r]
+    kappa = [Fraction((0, 1, 0, -1)[(T - t) % 4]) for t in range(T + 1)]
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    y = [alpha]
+    for tau in range(1, T + 1):
+        C = [[sum(q[abs(i - j) + 2 * k]
+                  for k in range(tau - max(i, j) + 1))
+              for j in range(1, tau + 1)] for i in range(1, tau + 1)]
+        k_tau = kappa[T - tau:T]
+        paired = kappa[T - tau + 1:T] + [Fraction(0)]
+        adj = [sum(q[t - 1 - j] * paired[t - 1]
+                   for t in range(j + 1, tau + 1)) for j in range(tau)]
+        rhs = [beta * k - alpha * a for k, a in zip(k_tau, adj)]
+        y.append(exact_solve(C, rhs)[0])
+    return np.array([float((y[n + 1] + y[n - 1]) / y[n])
+                     for n in range(1, T)])
 
 
 def connecting_direct(r, T):

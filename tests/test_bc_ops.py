@@ -12,7 +12,6 @@ from lattice_bc.bc_ops import (apply_response, apply_response_adjoint,
                                rotated_connecting)
 from lattice_bc.core import Tolerances
 from lattice_bc.forward import solve_semi_infinite
-from lattice_bc.linalg import leading_blocks
 
 int_seq = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=12)
 
@@ -265,7 +264,7 @@ class TestConnecting:
             d = np.linalg.det(connecting_matrix(r, ell))
             assert abs(d - 1.0) <= tol.det_tol
         cbar = rotated_connecting(connecting_matrix(r, T))
-        minors = leading_blocks(cbar)[0]
+        minors = helpers.leading_minors(cbar)
         assert np.max(np.abs(minors - 1.0)) <= tol.det_tol
 
 

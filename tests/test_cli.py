@@ -184,6 +184,17 @@ class TestCharacterize:
         assert doc["first_failing_order"] == 2
         assert doc["minor_values"][1] == pytest.approx(-3.0, abs=1e-12)
 
+    def test_zero_pivot_is_a_verdict(self, tmp_path, capsys):
+        # the order-2 block is exactly singular: the verdict covers
+        # orders 1..2 and stays serializable
+        ker = write_doc(tmp_path / "k.json", "kernel", [1, 1, 0, 0, 0])
+        assert main(["characterize", "--kernel", ker, "--horizon", "3"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["admissible"] is False
+        assert doc["first_failing_order"] == 2
+        assert doc["minor_values"] == [1, 0]
+        assert doc["pivot_values"] == [1, 0]
+
     def test_det_tolerance_flag(self, tmp_path, capsys):
         b = np.array([0.4, -0.1])
         r = response_kernel(b, 4)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 from lattice_bc.bc_ops import connecting_matrix, response_kernel, \
@@ -210,6 +211,76 @@ class TestCrossMethod:
     def test_kernel_must_be_normalized(self):
         with pytest.raises(ValueError):
             invert_factorization([2.0, 0.0, 0.0], 2)
+
+
+# Agreement with the exact LDL^T of the same float kernel: relative to
+# the largest exact value and to the kernel scale max |r|, which bounds
+# the growth of C-bar's entries and of the rounding they carry.
+EXACT_REL = 1e-12
+
+
+def exact_close(got, exact, r):
+    exact = np.asarray(exact, dtype=float)
+    bound = EXACT_REL * np.max(np.abs(r)) * np.max(np.abs(exact))
+    return got.shape == exact.shape and np.max(np.abs(got - exact)) <= bound
+
+
+class TestExactLDL:
+    def kernels(self, seed, low=-0.5, high=0.5, horizons=(2, 3, 5, 8, 12)):
+        rng = np.random.default_rng(seed)
+        for T in horizons:
+            for _ in range(3):
+                yield kernel_of(rng.uniform(low, high, T - 1), T), T
+
+    def test_minors_and_pivots(self):
+        for r, T in self.kernels(64):
+            _, d = helpers.exact_ldl(helpers.exact_cbar(r, T))
+            verdict = characterize_response(r, T)
+            assert exact_close(verdict.pivot_values, d, r)
+            assert exact_close(verdict.minor_values, np.cumprod(
+                np.array(d, dtype=object)), r)
+
+    def test_factorization(self):
+        for r, T in self.kernels(65):
+            assert exact_close(invert_factorization(r, T),
+                               helpers.exact_factorization(r, T), r)
+
+    def test_krein_default_boundary_data(self):
+        for r, T in self.kernels(66):
+            assert exact_close(invert_krein(r, T),
+                               helpers.exact_krein(r, T, 0.0, 1.0), r)
+
+    def test_krein_general_boundary_data(self):
+        # potentials above 2 keep the alpha != 0 trace nondegenerate
+        config = KreinConfig(alpha=0.3, beta=1.2)
+        for r, T in self.kernels(67, 2.1, 2.6, (2, 4, 6)):
+            assert exact_close(invert_krein(r, T, config),
+                               helpers.exact_krein(r, T, 0.3, 1.2), r)
+
+    def test_zero_pivot_stops_the_verdict(self):
+        # C-bar's order-2 block [[1, 1], [1, 1]] is exactly singular
+        r = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        _, d = helpers.exact_ldl(helpers.exact_cbar(r, 3))
+        verdict = characterize_response(r, 3)
+        assert d == [1, 0]
+        assert verdict.first_failing_order == 2
+        assert np.array_equal(verdict.pivot_values, [1.0, 0.0])
+        assert np.array_equal(verdict.minor_values, [1.0, 0.0])
+
+    @given(st.lists(st.one_of(st.integers(-2, 2).map(float),
+                              st.floats(-2.0, 2.0)),
+                    min_size=2, max_size=16))
+    def test_krein_raises_where_factorization_does(self, tail):
+        # one pivot sequence: the Krein systems include every leading
+        # block the factorization eliminates
+        T = (len(tail) + 2) // 2
+        r = np.concatenate(([1.0], tail[:2 * T - 2]))
+        try:
+            invert_factorization(r, T)
+        except SingularLeadingMinor as exc:
+            with pytest.raises(SingularConnecting) as info:
+                invert_krein(r, T)
+            assert info.value.horizon == exc.order
 
 
 class TestCharacterize:
