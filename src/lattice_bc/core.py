@@ -53,8 +53,13 @@ def check_kernel(r, name="kernel"):
 
 
 def check_horizon(T, name="horizon"):
-    """Validate a positive integer count (horizon, size, order, index)."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    """Validate a positive integer count (horizon, size, order, index).
+
+    bool is an int subclass but never a count, so True and False are
+    rejected.
+    """
+    if (not isinstance(T, (int, np.integer)) or isinstance(T, bool)
+            or T < 1):
         raise ValueError(f"{name} must be a positive integer")
     return int(T)
 

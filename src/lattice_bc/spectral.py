@@ -138,6 +138,9 @@ def eigen_decompose(H, tol=Tolerances()):
 
     Eigenvalues come from Sturm-count bisection; eigenvectors from
     inverse iteration, orthogonalized within near-degenerate clusters.
+    Both run over the whole spectrum at once and give bit for bit the
+    one-eigenvalue-at-a-time results; failures are raised for the
+    lowest failing eigenvalue index, as a one-at-a-time loop would.
     Each vector is rescaled to first component one, which requires
     |v_1| > pivot_tol; localized states at large size or strong
     potential legitimately have exponentially small first components,
@@ -157,19 +160,28 @@ def eigen_decompose(H, tol=Tolerances()):
     if np.any(np.diff(lam) <= 0.0):
         raise ConvergenceFailure("eigenvalues collide at working precision")
     cluster_tol = 1e-6 * norm_h
-    vectors = np.empty((N, N))
-    raw = []
+    # partners of k: the lower eigenvalues within cluster_tol of lam[k]
+    close = np.tril(lam[:, None] - lam[None, :] <= cluster_tol, -1)
+    # eigenvalues without partners take one stacked inverse iteration;
+    # the others follow in ascending order, each against its partners'
+    # finished vectors
+    free = ~close.any(axis=1)
+    raw = np.empty((N, N))
+    converged = np.empty(N, dtype=bool)
+    raw[free], converged[free] = linalg.tridiag_eigenvector(
+        d, e, lam[free], rel_tol=tol.eig_tol)
     for k in range(N):
-        partners = [raw[j] for j in range(k)
-                    if lam[k] - lam[j] <= cluster_tol]
-        v = linalg.tridiag_eigenvector(d, e, lam[k], ortho=partners,
-                                       rel_tol=tol.eig_tol)
-        raw.append(v)
-        if np.abs(v[0]) <= tol.pivot_tol:
+        if not free[k]:
+            raw[k:k + 1], converged[k:k + 1] = linalg.tridiag_eigenvector(
+                d, e, lam[k:k + 1], ortho=raw[close[k]], rel_tol=tol.eig_tol)
+        if not converged[k]:
+            raise ConvergenceFailure(
+                f"inverse iteration stalled at eigenvalue {lam[k]!r}")
+        if np.abs(raw[k, 0]) <= tol.pivot_tol:
             raise ConvergenceFailure(
                 f"first eigenvector component below pivot tolerance "
                 f"at eigenvalue index {k}")
-        vectors[k] = v / v[0]
+    vectors = raw / raw[:, :1]
     rho = np.einsum("kn,kn->k", vectors, vectors)
     return SpectralData(eigenvalues=lam, norming=rho, eigenvectors=vectors)
 
@@ -207,7 +219,8 @@ def kernel_from_spectral(sd, K, dirichlet_correction=False):
         raise ValueError("sd must be SpectralData")
     N = sd.size
     limit = 2 * N if dirichlet_correction else 2 * N - 1
-    if not isinstance(K, (int, np.integer)) or K < 0:
+    if (not isinstance(K, (int, np.integer)) or isinstance(K, bool)
+            or K < 0):
         raise ValueError("kernel order must be nonnegative")
     if K > limit:
         raise ValueError("kernel order beyond spectral validity range")

@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 
 import helpers
 from lattice_bc.core import (Tolerances, as_float_array, chebyshev_seq,
-                             check_kernel, convolve, kappa_seq)
+                             check_horizon, check_kernel, convolve, kappa_seq)
+from lattice_bc.forward import solve_goursat
+from lattice_bc.spectral import (build_hamiltonian, eigen_decompose,
+                                 kernel_from_spectral)
 
 # integer-valued floats keep every arithmetic step exact, so algebraic
 # identities can be asserted with == rather than a tolerance
@@ -140,6 +143,22 @@ class TestValidation:
             check_kernel([])
         out = check_kernel([1.0, -2.0])
         assert np.array_equal(out, [1.0, -2.0])
+
+    def test_bool_is_not_a_count(self):
+        # bool is an int subclass; True must not pass as the count 1
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="horizon must be"):
+                check_horizon(flag)
+            with pytest.raises(ValueError, match="t_max must be"):
+                chebyshev_seq(flag, 0.5)
+            with pytest.raises(ValueError, match="size must be"):
+                build_hamiltonian([0.5, 0.5], flag)
+            with pytest.raises(ValueError, match="order must be"):
+                solve_goursat([0.5, 0.5], flag)
+            sd = eigen_decompose(build_hamiltonian([0.5], 1))
+            with pytest.raises(ValueError, match="order must be"):
+                kernel_from_spectral(sd, flag)
+        assert check_horizon(np.int64(3)) == 3
 
     def test_array_coercion(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts as subprocesses."""
 
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +35,23 @@ def test_reflection_demo_shows_unit_jump():
             if line.startswith("jump at s = 6:")]
     assert len(jump) == 1
     assert abs(float(jump[0].split()[5]) - 1.0) <= 1e-9
+
+
+def test_stage_times_records_every_stage(tmp_path):
+    out = tmp_path / "stages.json"
+    for label in ("first", "second"):
+        run_script("stage_times.py", "--label", label, "--output", str(out),
+                   "--sizes", "4", "--instances", "1")
+    runs = json.loads(out.read_text())["runs"]
+    assert set(runs) == {"first", "second"}
+    cells = runs["second"]["cells"]
+    assert [(c["N"], c["amplitude"]) for c in cells] == [(4, 0.1), (4, 0.3)]
+    for cell in cells:
+        assert cell["rejected"] == 0
+        # eigenvectors is a difference of two times, so only its
+        # presence is checked
+        assert all(isinstance(ms, float) for ms in cell["stage_ms"].values())
+        assert set(cell["stage_ms"]) == {
+            "build_hamiltonian", "eigenvalues", "eigenvectors",
+            "kernel_from_spectral", "invert_spectral"}
+        assert cell["max_abs_err"] <= 1e-6

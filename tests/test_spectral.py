@@ -13,6 +13,8 @@ from lattice_bc.spectral import (Hamiltonian, SpectralData, SpectralMeasure,
                                  kernel_from_spectral, phi_polynomial,
                                  spectral_measure)
 
+from helpers import reference_eigendata
+
 
 def delta(T):
     f = np.zeros(T)
@@ -101,8 +103,38 @@ class TestEigenDecompose:
         H = build_hamiltonian(b, 24)
         sd = eigen_decompose(H, Tolerances(pivot_tol=0.0))
         assert abs(np.sum(1.0 / sd.norming) - 1.0) <= 1e-10
-        with pytest.raises(ConvergenceFailure):
-            eigen_decompose(H, Tolerances(pivot_tol=1e-3))
+        harsh = Tolerances(pivot_tol=1e-3)
+        with pytest.raises(ConvergenceFailure) as failure:
+            eigen_decompose(H, harsh)
+        # the first failing eigenvalue index is the one-at-a-time one
+        with pytest.raises(ConvergenceFailure) as reference:
+            reference_eigendata(H.diag, np.ones(23), harsh)
+        assert str(failure.value) == str(reference.value)
+
+    def test_three_well_cluster(self):
+        # three identical deep wells, far from the walls and from each
+        # other: their ground states form one cluster, and its top
+        # member's partners include one that is itself clustered
+        N = 40
+        b = np.zeros(N)
+        b[[11, 20, 29]] = 6.0
+        H = build_hamiltonian(b, N)
+        sd = eigen_decompose(H)
+        lam = sd.eigenvalues
+        assert 0.0 < lam[2] - lam[0] <= 1e-6 * H.norm_bound() < lam[3] - lam[2]
+        ref = reference_eigendata(H.diag, np.ones(N - 1))
+        for got, want in zip((lam, sd.norming, sd.eigenvectors), ref):
+            assert np.array_equal(got, want)
+        dense = H.to_dense()
+        oracle = np.linalg.eigvalsh(dense)
+        assert np.max(np.abs(lam - oracle)) <= 1e-12 * np.abs(oracle).max()
+        for k in range(N):
+            phi = sd.eigenvectors[k]
+            res = dense @ phi - lam[k] * phi
+            assert np.sqrt(res @ res) <= (1e-10 * H.norm_bound()
+                                          * np.sqrt(phi @ phi))
+        unit = sd.eigenvectors / np.sqrt(sd.norming)[:, None]
+        assert np.max(np.abs(unit @ unit.T - np.eye(N))) <= 1e-8
 
     def test_validation(self):
         with pytest.raises(ValueError):
