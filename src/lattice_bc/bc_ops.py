@@ -7,6 +7,11 @@ method are assembled here from r alone: the time convolution R, its
 adjoint, the control-to-state matrix W^T, and the connecting (Gram)
 matrix C^T together with its reversed-index form, which the inverse
 solvers factor straight from r without assembling it.
+
+Kernels of many potentials come from one Goursat fill over an (M, L)
+stack of potentials (_response_kernels, which the round-trip report
+calls once per block of instances); response_kernel is its M = 1 case,
+so a stacked row and a single call give the same bits.
 """
 
 from __future__ import annotations
@@ -14,7 +19,25 @@ from __future__ import annotations
 import numpy as np
 
 from .core import as_float_array, check_horizon, check_kernel, convolve
-from .forward import solve_goursat, solve_semi_infinite
+from .forward import _goursat_steps, solve_goursat, solve_semi_infinite
+
+
+def _response_kernels(b, K):
+    """Kernel prefixes (r_0, ..., r_K) of a stack of potentials.
+
+    b is an (M, L) float array; returns the (M, K + 1) kernels from one
+    Goursat fill over the whole stack, each row the same bits as
+    response_kernel(b[m], K).
+    """
+    M = b.shape[0]
+    r = np.zeros((M, K + 1))
+    if K >= 1:
+        bp = np.zeros((M, K))
+        bp[:, :min(b.shape[1], K)] = b[:, :K]
+        for s, w in enumerate(_goursat_steps(bp, K)):
+            r[:, s] = w[:, 1]
+    r[:, 0] = 1.0
+    return r
 
 
 def response_kernel(b, K):
@@ -24,18 +47,11 @@ def response_kernel(b, K):
     first row.  The potential is zero-padded as needed; entries beyond
     b_ceil(K/2) cannot influence the returned prefix.
     """
-    if not isinstance(K, (int, np.integer)) or K < 0:
+    if (not isinstance(K, (int, np.integer)) or isinstance(K, bool)
+            or K < 0):
         raise ValueError("kernel order must be nonnegative")
-    K = int(K)
-    r = np.zeros(K + 1)
-    r[0] = 1.0
-    if K >= 1:
-        b = as_float_array(b, "potential")
-        bp = np.zeros(K)
-        bp[:min(b.size, K)] = b[:K]
-        w = solve_goursat(bp, K)
-        r[1:] = w.table[1, 1:]
-    return r
+    b = as_float_array(b, "potential") if K >= 1 else np.zeros(0)
+    return _response_kernels(b[None], int(K))[0]
 
 
 def apply_response(r, f):

@@ -11,19 +11,21 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
 from . import files
-from .bc_ops import (connecting_matrix, connecting_via_waves,
-                     response_kernel)
+from .bc_ops import (_response_kernels, connecting_matrix,
+                     connecting_via_waves, response_kernel)
 from .core import Tolerances
 from .forward import solve_interval, solve_semi_infinite
 from .inversion import (DegenerateTrace, InversionError, KreinConfig,
                         SingularConnecting, SingularLeadingMinor,
-                        characterize_response, invert_factorization,
-                        invert_gelfand_levitan, invert_krein)
+                        _solve_stack, characterize_response,
+                        invert_factorization, invert_gelfand_levitan,
+                        invert_krein)
 from .linalg import ConvergenceFailure
 from .spectral import build_hamiltonian, eigen_decompose, invert_spectral
 
@@ -33,6 +35,9 @@ EXIT_INADMISSIBLE = 3
 EXIT_DEGENERATE = 4
 
 _METHODS = ("factorization", "gelfand-levitan", "krein")
+# instances per stacked kernel fill and moment recursion in roundtrip;
+# a block holds O(_BLOCK T) numbers
+_BLOCK = 64
 
 
 def _tolerances(args):
@@ -171,11 +176,20 @@ def cmd_spectral_invert(args):
     return EXIT_OK
 
 
-def _roundtrip_method(invert, b):
-    try:
-        recovered = invert()
-    except InversionError as exc:
-        return None, type(exc).__name__
+def _check_roundtrip(instances, T, amplitude):
+    if (not isinstance(instances, (int, np.integer))
+            or isinstance(instances, bool) or instances < 0):
+        raise ValueError("instances must be nonnegative")
+    if (not isinstance(T, (int, np.integer)) or isinstance(T, bool)
+            or T < 1):
+        raise ValueError("--horizon is required and must be positive")
+    if not (amplitude >= 0.0 and np.isfinite(amplitude)):
+        raise ValueError("amplitude must be finite and nonnegative")
+
+
+def _roundtrip_outcome(recovered, b):
+    if isinstance(recovered, InversionError):
+        return None, type(recovered).__name__
     err = float(np.max(np.abs(recovered - b))) if b.size else 0.0
     return err, None
 
@@ -186,36 +200,48 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
     Each draw's kernel (r_0, ..., r_{2T-2}) is characterized and handed
     to the three solvers; the report tallies per-method successes,
     worst recovery error and failures, and the inadmissible instances.
+    The draws are taken in blocks of _BLOCK instances, each served by
+    one stacked kernel fill and one moment recursion; the report is
+    the same bytes as one draw, kernel and solver call per instance.
     """
+    _check_roundtrip(instances, T, amplitude)
+    if not isinstance(tol, Tolerances):
+        raise ValueError("tol must be a Tolerances instance")
     rng = np.random.default_rng(seed)
     methods = {name: {"successes": 0, "max_abs_error": None, "failures": []}
                for name in ("krein", "factorization", "gelfand_levitan")}
     admissible_count = 0
     inadmissible = []
-    for i in range(instances):
-        b = rng.uniform(-amplitude, amplitude, T - 1)
-        r = response_kernel(b, 2 * T - 2)
-        verdict = characterize_response(r, T, tol)
-        if verdict.admissible:
-            admissible_count += 1
-        else:
-            inadmissible.append(i)
-        # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
-        factorization = _roundtrip_method(
-            lambda: invert_factorization(r, T), b)
-        outcomes = {"krein": _roundtrip_method(lambda: invert_krein(r, T), b),
-                    "factorization": factorization,
-                    "gelfand_levitan": factorization}
-        for name, (err, failure) in outcomes.items():
-            entry = methods[name]
-            if failure is not None:
-                entry["failures"].append(
-                    {"instance": i, "error": failure})
+    for start in range(0, instances, _BLOCK):
+        # one (rows, T - 1) draw is the same stream as rows draws of T - 1
+        draws = rng.uniform(-amplitude, amplitude,
+                            (min(_BLOCK, instances - start), T - 1))
+        r = _response_kernels(draws, 2 * T - 2)
+        if not np.all(np.isfinite(r)):
+            # what characterize_response raises for such a kernel
+            raise ValueError("kernel contains non-finite entries")
+        solved = _solve_stack(r, T, tol)
+        for i, b, (verdict, factorization, krein) in zip(
+                range(start, instances), draws, solved):
+            if verdict.admissible:
+                admissible_count += 1
             else:
-                entry["successes"] += 1
-                if (entry["max_abs_error"] is None
-                        or err > entry["max_abs_error"]):
-                    entry["max_abs_error"] = err
+                inadmissible.append(i)
+            # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
+            factorization = _roundtrip_outcome(factorization, b)
+            outcomes = {"krein": _roundtrip_outcome(krein, b),
+                        "factorization": factorization,
+                        "gelfand_levitan": factorization}
+            for name, (err, failure) in outcomes.items():
+                entry = methods[name]
+                if failure is not None:
+                    entry["failures"].append(
+                        {"instance": i, "error": failure})
+                else:
+                    entry["successes"] += 1
+                    if (entry["max_abs_error"] is None
+                            or err > entry["max_abs_error"]):
+                        entry["max_abs_error"] = err
     return {
         "kind": "roundtrip_report",
         "seed": seed,
@@ -232,19 +258,16 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
 
 
 def cmd_roundtrip(args):
-    if args.instances < 0:
-        raise ValueError("instances must be nonnegative")
-    T = args.horizon
-    if T is None or T < 1:
-        raise ValueError("--horizon is required and must be positive")
-    if not (args.amplitude >= 0.0 and np.isfinite(args.amplitude)):
-        raise ValueError("amplitude must be finite and nonnegative")
-    report = roundtrip_report(args.seed, args.instances, T, args.amplitude,
-                              _tolerances(args))
+    # checked before the tolerances are built, so a bad count is the
+    # error reported when both are wrong
+    _check_roundtrip(args.instances, args.horizon, args.amplitude)
+    report = roundtrip_report(args.seed, args.instances, args.horizon,
+                              args.amplitude, _tolerances(args))
     _emit_json(report, args)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, metavar="PATH",

@@ -106,6 +106,31 @@ def solve_semi_infinite(b, f, T):
     return WaveField(field.values[:T + 1])
 
 
+def _goursat_steps(b, S):
+    """The kernel tables of a stack of potentials, one time step at a time.
+
+    b is an (M, >= S) float array.  Yields, for s = 0..S, the (M, S + 1)
+    slab w_s with w_s[m, n] = w_{n,s} for the potential b[m].  Step s
+    reads only w_{s-1} and w_{s-2}, so three slabs rotate and memory
+    stays O(M S) whatever the order; a yielded slab is rewritten three
+    steps on, so the caller copies what it keeps.  Every entry is the
+    same arithmetic as a fill of that potential alone.
+    """
+    M = b.shape[0]
+    diag = -np.cumsum(b[:, :S], axis=1)
+    older, last, new = (np.zeros((M, S + 1)) for _ in range(3))
+    for s in range(S + 1):
+        # the slab of step s - 3 is nonzero only on 1..s-3, all rewritten
+        if s >= 2:
+            new[:, 1:s] = (last[:, 2:s + 1] + last[:, 0:s - 1]
+                           - b[:, 0:s - 1] * last[:, 1:s]
+                           - older[:, 1:s])
+        if s:
+            new[:, s] = diag[:, s - 1]
+        yield new
+        older, last, new = last, new, older
+
+
 def solve_goursat(b, S):
     """Fill the triangular kernel w up to order S for the potential b.
 
@@ -115,20 +140,16 @@ def solve_goursat(b, S):
         w_{n,s} = w_{n+1,s-1} + w_{n-1,s-1} - b_n w_{n,s-1} - w_{n,s-2}
 
     with w_{0,s} = 0 and implicit zeros below the diagonal.  Requires
-    len(b) >= S since b_S enters the last diagonal entry.
+    len(b) >= S since b_S enters the last diagonal entry.  This is the
+    one-potential case of the stacked fill behind bc_ops's kernels,
+    with every step kept.
     """
     S = check_horizon(S, "order")
     b = as_float_array(b, "potential")
     if b.size < S:
         raise ValueError("potential too short for requested order")
-    w = np.zeros((S + 1, S + 1))
-    diag = -np.cumsum(b[:S])
-    w[np.arange(1, S + 1), np.arange(1, S + 1)] = diag
-    for s in range(2, S + 1):
-        n = np.arange(1, s)
-        w[n, s] = (w[n + 1, s - 1] + w[n - 1, s - 1]
-                   - b[n - 1] * w[n, s - 1] - w[n, s - 2])
-    return GoursatKernel(w)
+    steps = [w[0].copy() for w in _goursat_steps(b[None], S)]
+    return GoursatKernel(np.ascontiguousarray(np.array(steps).T))
 
 
 def apply_representation(kernel, f, n, t):
@@ -139,7 +160,8 @@ def apply_representation(kernel, f, n, t):
     nonempty.
     """
     n = check_horizon(n, "site index")
-    if not isinstance(t, (int, np.integer)) or t < 0:
+    if (not isinstance(t, (int, np.integer)) or isinstance(t, bool)
+            or t < 0):
         raise ValueError("time index must be nonnegative")
     f = as_float_array(f, "control")
     t = int(t)

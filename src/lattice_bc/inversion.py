@@ -19,7 +19,15 @@ factorization, and the Jacobi coefficients of the potential, from r in
 O(T^2).  Its pivots give the leading minors; the Gelfand-Levitan
 systems are leading blocks of C-bar, so that route is the
 factorization; the Krein systems of all horizons share one forward
-substitution with L.
+substitution with L, done inside the recursion.
+
+The recursion runs on an (M, 2T-1) stack of kernels, one Python step
+per order for the whole stack, and each public function is its M = 1
+case: it runs the stack of one and reads that kernel's column.
+_solve_stack reads the verdict, the factorization and Krein for every
+kernel of a larger stack from one recursion; the round-trip report
+calls it once per block of instances, with the same bits per kernel as
+the public functions.
 
 The recursion runs in numpy's long double.  On platforms where that
 type is float64 (ARM macOS, Windows) it runs in float64, so verdict
@@ -29,6 +37,7 @@ bits and borderline outcomes can differ there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +131,25 @@ def _checked_kernel(r, T):
     return r, T
 
 
-def _moment_recursion(r, T):
+class _Recursion(NamedTuple):
+    """The moment recursion of a stack of M kernels, in long double.
+
+    Column m of alpha (T - 1, M), of the pivots d (T, M) and of
+    z = L^{-1} g (T, M, or None without g) belongs to kernel m.  stop
+    is the index of each kernel's first zero pivot and floor_fail that
+    of its first pivot not above the solvers' floor, each T when there
+    is none.  A kernel's entries past its stop, or past a non-finite
+    pivot, are never read.
+    """
+
+    alpha: np.ndarray
+    d: np.ndarray
+    z: np.ndarray | None
+    stop: np.ndarray
+    floor_fail: np.ndarray
+
+
+def _moment_recursion(r, T, g=None):
     """LDL^T of C-bar and the Jacobi coefficients, from r_0..r_{2T-2}.
 
     The modified Chebyshev algorithm (Sack & Donovan 1971; Wheeler
@@ -136,51 +163,144 @@ def _moment_recursion(r, T):
     with alpha_k = L_{k+1,k} - L_{k,k-1}, beta_k = d_k / d_{k-1},
     pivots d_k = sigma_{k,k} and L_{ik} = sigma_{k,i} / sigma_{k,k}, so
     that C-bar = L diag(d) L^T.  b_{k+1} = -alpha_k for response data.
+    Column k of L is used as soon as it is known, to reduce the
+    right-hand sides g (M, T), if given, by forward substitution, so L
+    itself is never stored.
 
-    Returns long double (alpha, d, L), stopping at the first pivot that
-    is zero or not finite: d ends with it, alpha has len(d) - 1 entries
-    and L unit columns from there on.
+    r is an (M, >= 2T - 1) stack, held with the stack axis last, and
+    every step runs on all M kernels at once.  A kernel runs on past a
+    zero or non-finite pivot, with floating point warnings silenced,
+    and its stop is found after the loop: tracking it per step costs
+    more than the wasted arithmetic.
     """
-    n = 2 * T - 1
-    sigma = np.asarray(r[:n], dtype=np.longdouble)
-    older = np.zeros(n, dtype=np.longdouble)
-    alpha = np.empty(T - 1, dtype=np.longdouble)
-    d = np.empty(T, dtype=np.longdouble)
-    L = np.eye(T, dtype=np.longdouble)
-    for k in range(T):
-        if k:
-            lo, hi = k, n - k
-            row = np.zeros(n, dtype=np.longdouble)
-            row[lo:hi] = (sigma[lo + 1:hi + 1] - alpha[k - 1] * sigma[lo:hi]
-                          - beta * older[lo:hi] + sigma[lo - 1:hi - 1])
-            older, sigma = sigma, row
-        d[k] = sigma[k]
-        if d[k] == 0 or not np.isfinite(d[k]):
-            return alpha[:k], d[:k + 1], L
-        L[k:, k] = sigma[k:T] / d[k]
-        if k < T - 1:
-            alpha[k] = L[k + 1, k] - (L[k, k - 1] if k else 0)
-        beta = d[k] / d[k - 1] if k else d[k]
-    return alpha, d, L
+    M, n = r.shape[0], 2 * T - 1
+    sigma = np.array(r[:, :n].T, dtype=np.longdouble, order="C")
+    older = np.zeros((n, M), dtype=np.longdouble)
+    # step k reads only entries k-1..n-k of sigma, which step k-1
+    # wrote, so three buffers rotate without clearing
+    spare = np.empty((n, M), dtype=np.longdouble)
+    alpha = np.empty((T - 1, M), dtype=np.longdouble)
+    d = np.empty((T, M), dtype=np.longdouble)
+    z = (None if g is None
+         else np.array(g.T, dtype=np.longdouble, order="C"))
+    with np.errstate(all="ignore"):
+        for k in range(T):
+            if k:
+                lo, hi = k, n - k
+                spare[lo:hi] = (sigma[lo + 1:hi + 1]
+                                - alpha[k - 1] * sigma[lo:hi]
+                                - beta * older[lo:hi]
+                                + sigma[lo - 1:hi - 1])
+                older, sigma, spare = sigma, spare, older
+            d[k] = sigma[k]
+            if k < T - 1:
+                # lower = L_{k+1,k}; upper keeps L_{k,k-1} from step k-1
+                if z is None:
+                    lower = sigma[k + 1] / d[k]
+                else:
+                    column = sigma[k + 1:T] / d[k]
+                    z[k + 1:] -= column * z[k]
+                    lower = column[0]
+                alpha[k] = lower - upper if k else lower
+                upper = lower
+            beta = d[k] / d[k - 1] if k else d[0]
+        usable = np.isfinite(d) & (np.abs(d) > _pivot_floor(r, T).T)
+    return _Recursion(alpha, d, z, _first(d == 0, T), _first(~usable, T))
 
 
-def _checked_recursion(r, T, order, error):
-    """_moment_recursion with the solvers' pivot floor.
+def _first(flags, T):
+    """Index of the first true entry of each column of flags, else T."""
+    return np.where(np.any(flags, axis=0), np.argmax(flags, axis=0), T)
 
-    Raises error(k + 1) at the first pivot d_k, k < order, that is not
-    finite or not above _PIVOT_MARGIN (k + 1) eps s_k, where s_k, the
-    largest |r_0 + r_2 + ... + r_{2j}| over j <= k, is the largest
-    diagonal entry of C-bar's order-(k + 1) block (its largest entry
-    when the block is positive definite).
+
+def _pivot_floor(r, T):
+    """The solvers' floor (M, T) on the pivots d_k of the stack r.
+
+    A pivot is usable when it is finite and above _PIVOT_MARGIN (k + 1)
+    eps s_k, where s_k, the largest |r_0 + r_2 + ... + r_{2j}| over
+    j <= k, is the largest diagonal entry of C-bar's order-(k + 1)
+    block (its largest entry when the block is positive definite).
     """
-    alpha, d, L = _moment_recursion(r, T)
-    scale = np.maximum.accumulate(np.abs(np.cumsum(r[:2 * order:2])))
-    floor = _PIVOT_MARGIN * _EPS * np.arange(1, order + 1) * scale
-    d_head = d[:order]
-    failed = ~(np.isfinite(d_head) & (np.abs(d_head) > floor[:d_head.size]))
-    if np.any(failed):
-        raise error(np.argmax(failed) + 1)
-    return alpha, d, L
+    scale = np.maximum.accumulate(
+        np.abs(np.cumsum(r[:, :2 * T:2], axis=1)), axis=1)
+    return _PIVOT_MARGIN * _EPS * np.arange(1, T + 1) * scale
+
+
+def _krein_rhs(r, T, config):
+    """Reversed right-hand sides g (M, T) of the Krein systems of each
+    kernel in the stack r; the same row for all unless alpha != 0."""
+    kappa = kappa_seq(T)
+    g = config.beta * kappa[::-1]
+    if config.alpha != 0.0:
+        paired = np.append(kappa[1:], 0.0)
+        adjoint = np.array([apply_response_adjoint(row, paired)
+                            for row in r])
+        g = g - config.alpha * adjoint[:, ::-1]
+    return np.broadcast_to(g, (r.shape[0], T))
+
+
+def _krein(rec, m, T, config):
+    """Krein readout of kernel m: pivot floor, trace y, then b."""
+    if rec.floor_fail[m] < T:
+        raise SingularConnecting(rec.floor_fail[m] + 1)
+    y = np.concatenate(([config.alpha], rec.z[:, m] / rec.d[:, m]))
+    vanished = np.abs(y[1:T]) <= _DEGENERACY_TOL * np.max(np.abs(y))
+    if np.any(vanished):
+        raise DegenerateTrace(np.argmax(vanished) + 1)
+    return ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
+
+
+def _factorization(rec, m, T):
+    """Layer-stripping readout of kernel m: pivot floor, then b."""
+    if rec.floor_fail[m] < T - 1:
+        raise SingularLeadingMinor(rec.floor_fail[m] + 1)
+    return -rec.alpha[:, m].astype(float)
+
+
+def _verdict(rec, m, T, tol):
+    """Admissibility verdict of kernel m from its pivots up to its stop."""
+    d = rec.d[:rec.stop[m] + 1, m]
+    with np.errstate(over="ignore"):
+        minors = np.cumprod(d).astype(float)
+        pivots = d.astype(float)
+    finite = np.isfinite(minors) & np.isfinite(pivots)
+    k = d.size if np.all(finite) else int(np.argmin(finite))
+    minors, pivots = minors[:k], pivots[:k]
+    # orders past a zero pivot or a float64 overflow fail unreported
+    passed = np.zeros(T, dtype=bool)
+    passed[:k] = ((np.abs(minors - 1.0) <= tol.det_tol)
+                  & (pivots > tol.pivot_tol))
+    first = None if np.all(passed) else int(np.argmin(passed)) + 1
+    return CharacterizationVerdict(
+        admissible=first is None,
+        first_failing_order=first,
+        minor_values=minors,
+        pivot_values=pivots,
+    )
+
+
+def _attempt(solver, *args):
+    try:
+        return solver(*args)
+    except InversionError as exc:
+        return exc
+
+
+def _solve_stack(r, T, tol):
+    """Verdict, factorization and Krein outcome for each kernel of a stack.
+
+    r is an (M, >= 2T - 1) stack of finite kernels with r_0 = 1.  One
+    moment recursion, with its forward substitution, serves every
+    kernel, and the outcomes for kernel m are the same bits as
+    characterize_response(r[m], T, tol), invert_factorization(r[m], T)
+    and invert_krein(r[m], T); a solver that fails gives its
+    InversionError in place of b-hat.  Returns a list of
+    (verdict, factorization, krein), one per kernel.
+    """
+    config = KreinConfig()
+    rec = _moment_recursion(r, T, _krein_rhs(r, T, config))
+    return [(_verdict(rec, m, T, tol), _attempt(_factorization, rec, m, T),
+             _attempt(_krein, rec, m, T, config)) for m in range(len(r))]
 
 
 def invert_krein(r, T, config=KreinConfig()):
@@ -206,20 +326,8 @@ def invert_krein(r, T, config=KreinConfig()):
     r, T = _checked_kernel(r, T)
     if not isinstance(config, KreinConfig):
         raise ValueError("config must be a KreinConfig")
-    _, d, L = _checked_recursion(r, T, T, SingularConnecting)
-    kappa = kappa_seq(T)
-    g = config.beta * kappa[::-1]
-    if config.alpha != 0.0:
-        paired = np.append(kappa[1:], 0.0)
-        g = g - config.alpha * apply_response_adjoint(r, paired)[::-1]
-    z = np.asarray(g, dtype=np.longdouble)
-    for k in range(T - 1):
-        z[k + 1:] -= L[k + 1:, k] * z[k]
-    y = np.concatenate(([config.alpha], z / d))
-    vanished = np.abs(y[1:T]) <= _DEGENERACY_TOL * np.max(np.abs(y))
-    if np.any(vanished):
-        raise DegenerateTrace(np.argmax(vanished) + 1)
-    return ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
+    rec = _moment_recursion(r[None], T, _krein_rhs(r[None], T, config))
+    return _krein(rec, 0, T, config)
 
 
 def invert_factorization(r, T):
@@ -233,8 +341,7 @@ def invert_factorization(r, T):
     floor raises SingularLeadingMinor(order).
     """
     r, T = _checked_kernel(r, T)
-    alpha, _, _ = _checked_recursion(r, T, T - 1, SingularLeadingMinor)
-    return -alpha.astype(float)
+    return _factorization(_moment_recursion(r[None], T), 0, T)
 
 
 def invert_gelfand_levitan(r, T):
@@ -270,21 +377,4 @@ def characterize_response(r, T, tol=Tolerances()):
     r, T = _checked_kernel(r, T)
     if not isinstance(tol, Tolerances):
         raise ValueError("tol must be a Tolerances instance")
-    _, d, _ = _moment_recursion(r, T)
-    with np.errstate(over="ignore"):
-        minors = np.cumprod(d).astype(float)
-        pivots = d.astype(float)
-    finite = np.isfinite(minors) & np.isfinite(pivots)
-    m = d.size if np.all(finite) else int(np.argmin(finite))
-    minors, pivots = minors[:m], pivots[:m]
-    # orders past a zero pivot or a float64 overflow fail unreported
-    passed = np.zeros(T, dtype=bool)
-    passed[:m] = ((np.abs(minors - 1.0) <= tol.det_tol)
-                  & (pivots > tol.pivot_tol))
-    first = None if np.all(passed) else int(np.argmin(passed)) + 1
-    return CharacterizationVerdict(
-        admissible=first is None,
-        first_failing_order=first,
-        minor_values=minors,
-        pivot_values=pivots,
-    )
+    return _verdict(_moment_recursion(r[None], T), 0, T, tol)

@@ -9,15 +9,20 @@ admissible-kernel constructor that forces even entries through the
 unit-determinant condition, and the one-eigenvalue-at-a-time
 eigensolver (bisection one midpoint per Sturm pass, one scalar
 inverse iteration per eigenvalue) that the batched library eigensolver
-must reproduce bit for bit.  numpy.linalg appears only here and never
-inside the library, so cross-checks are genuinely two-route.
+must reproduce bit for bit, and the one-instance-at-a-time round-trip
+loop that the blocked round-trip report must reproduce byte for
+byte.  numpy.linalg appears only here and never inside the library,
+so cross-checks are genuinely two-route.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from lattice_bc.bc_ops import response_kernel
 from lattice_bc.core import Tolerances
+from lattice_bc.inversion import (InversionError, characterize_response,
+                                  invert_factorization, invert_krein)
 from lattice_bc.linalg import ConvergenceFailure
 
 
@@ -428,3 +433,61 @@ def reference_eigendata(d, e, tol=Tolerances()):
         vectors[k] = v / v[0]
     rho = np.einsum("kn,kn->k", vectors, vectors)
     return lam, rho, vectors
+
+
+def _reference_roundtrip_method(invert, b):
+    try:
+        recovered = invert()
+    except InversionError as exc:
+        return None, type(exc).__name__
+    err = float(np.max(np.abs(recovered - b))) if b.size else 0.0
+    return err, None
+
+
+def reference_roundtrip_report(seed, instances, T, amplitude,
+                               tol=Tolerances()):
+    """The round-trip report one instance at a time: one draw, one
+    kernel and one call of each public solver per instance, the loop
+    that the blocked cli.roundtrip_report must reproduce byte for byte."""
+    rng = np.random.default_rng(seed)
+    methods = {name: {"successes": 0, "max_abs_error": None, "failures": []}
+               for name in ("krein", "factorization", "gelfand_levitan")}
+    admissible_count = 0
+    inadmissible = []
+    for i in range(instances):
+        b = rng.uniform(-amplitude, amplitude, T - 1)
+        r = response_kernel(b, 2 * T - 2)
+        verdict = characterize_response(r, T, tol)
+        if verdict.admissible:
+            admissible_count += 1
+        else:
+            inadmissible.append(i)
+        factorization = _reference_roundtrip_method(
+            lambda: invert_factorization(r, T), b)
+        outcomes = {"krein": _reference_roundtrip_method(
+                        lambda: invert_krein(r, T), b),
+                    "factorization": factorization,
+                    "gelfand_levitan": factorization}
+        for name, (err, failure) in outcomes.items():
+            entry = methods[name]
+            if failure is not None:
+                entry["failures"].append(
+                    {"instance": i, "error": failure})
+            else:
+                entry["successes"] += 1
+                if (entry["max_abs_error"] is None
+                        or err > entry["max_abs_error"]):
+                    entry["max_abs_error"] = err
+    return {
+        "kind": "roundtrip_report",
+        "seed": seed,
+        "instances": instances,
+        "horizon": T,
+        "amplitude": amplitude,
+        "generator": "numpy default_rng (PCG64)",
+        "methods": methods,
+        "characterization": {
+            "admissible_count": admissible_count,
+            "inadmissible_instances": inadmissible,
+        },
+    }

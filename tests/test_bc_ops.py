@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from lattice_bc.bc_ops import (apply_response, apply_response_adjoint,
-                               connecting_matrix, connecting_via_waves,
-                               control_matrix, response_kernel,
-                               rotated_connecting)
+from lattice_bc.bc_ops import (_response_kernels, apply_response,
+                               apply_response_adjoint, connecting_matrix,
+                               connecting_via_waves, control_matrix,
+                               response_kernel, rotated_connecting)
 from lattice_bc.core import Tolerances
 from lattice_bc.forward import solve_semi_infinite
 
@@ -26,6 +26,18 @@ class TestResponseKernel:
     def test_zero_potential(self):
         r = response_kernel([], 5)
         assert np.array_equal(r, [1, 0, 0, 0, 0, 0])
+
+    @given(rows=st.integers(1, 5), length=st.integers(0, 30),
+           K=st.integers(0, 60), amplitude=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_rows_are_single_kernels(self, rows, length, K, amplitude,
+                                           seed):
+        b = np.random.default_rng(seed).uniform(-amplitude, amplitude,
+                                                (rows, length))
+        r = _response_kernels(b, K)
+        assert r.shape == (rows, K + 1)
+        for m in range(rows):
+            assert np.array_equal(r[m], response_kernel(b[m], K))
 
     def test_leading_entries(self):
         rng = np.random.default_rng(21)

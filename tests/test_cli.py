@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lattice_bc import files
+import helpers
+from lattice_bc import cli, files
 from lattice_bc.bc_ops import connecting_matrix, response_kernel
 from lattice_bc.cli import main, roundtrip_report
 from lattice_bc.core import Tolerances
@@ -302,6 +305,59 @@ class TestRoundtrip:
     def test_bad_arguments_exit_2(self, capsys):
         assert main(["roundtrip", "--instances", "-1",
                      "--horizon", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: instances must be nonnegative\n")
+        # a bad count is reported before bad tolerances
+        assert main(["roundtrip", "--instances", "-1", "--horizon", "4",
+                     "--tol-det", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: instances must be nonnegative\n")
+        assert main(["roundtrip", "--instances", "2", "--horizon", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --horizon is required and must be positive\n")
+        assert main(["roundtrip", "--instances", "2", "--horizon", "4",
+                     "--amplitude", "nan"]) == 2
+        assert capsys.readouterr().err == (
+            "error: amplitude must be finite and nonnegative\n")
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), instances=st.integers(0, 13),
+           T=st.integers(1, 40), amplitude=st.floats(0.0, 3.0),
+           block=st.integers(1, 5))
+    def test_blocked_report_is_one_at_a_time_report(self, seed, instances, T,
+                                                    amplitude, block):
+        # a small block puts several block edges inside a cheap report
+        with mock.patch.object(cli, "_BLOCK", block):
+            report = roundtrip_report(seed, instances, T, amplitude)
+        reference = helpers.reference_roundtrip_report(seed, instances, T,
+                                                       amplitude)
+        assert files.dumps_json(report) == files.dumps_json(reference)
+
+    def test_report_crossing_two_blocks(self):
+        # at T = 16, amplitude 2 some instances raise in each solver
+        M = 2 * cli._BLOCK + 3
+        report = roundtrip_report(7, M, 16, 2.0)
+        assert report["methods"]["krein"]["failures"]
+        assert report["methods"]["factorization"]["failures"]
+        assert files.dumps_json(report) == files.dumps_json(
+            helpers.reference_roundtrip_report(7, M, 16, 2.0))
+
+    def test_report_function_checks_its_arguments(self):
+        bad = [((0, -1, 4, 0.3), "instances must be nonnegative"),
+               ((0, True, 4, 0.3), "instances must be nonnegative"),
+               ((0, 2.0, 4, 0.3), "instances must be nonnegative"),
+               ((0, 2, 0, 0.3), "horizon is required and must be positive"),
+               ((0, 2, True, 0.3), "horizon is required and must be positive"),
+               ((0, 2, 4, float("nan")), "amplitude must be finite"),
+               ((0, 2, 4, float("inf")), "amplitude must be finite"),
+               ((0, 2, 4, -0.1), "amplitude must be finite")]
+        for args, message in bad:
+            with pytest.raises(ValueError, match=message):
+                roundtrip_report(*args)
+        with pytest.raises(ValueError, match="tol must be a Tolerances"):
+            roundtrip_report(0, 0, 4, 0.3, tol=1e-9)
+        assert roundtrip_report(0, np.int64(2), np.int64(3), 0.3)[
+            "characterization"]["admissible_count"] == 2
 
     def test_output_is_the_report_function(self, capsys):
         assert main(["roundtrip", "--instances", "12", "--horizon", "10",

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from lattice_bc.bc_ops import response_kernel
 from lattice_bc.core import (Tolerances, as_float_array, chebyshev_seq,
                              check_horizon, check_kernel, convolve, kappa_seq)
-from lattice_bc.forward import solve_goursat
+from lattice_bc.forward import apply_representation, solve_goursat
 from lattice_bc.spectral import (build_hamiltonian, eigen_decompose,
                                  kernel_from_spectral)
 
@@ -159,6 +160,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="order must be"):
                 kernel_from_spectral(sd, flag)
         assert check_horizon(np.int64(3)) == 3
+
+    def test_bool_is_not_an_order_or_time_index(self):
+        # the nonnegative counts: True used to pass as the order or time 1
+        w = solve_goursat([0.5, 0.5], 2)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="order must be"):
+                response_kernel([0.5], flag)
+            with pytest.raises(ValueError, match="time index must be"):
+                apply_representation(w, [1.0, 2.0], 1, flag)
+        assert np.array_equal(response_kernel([0.5], np.int64(1)),
+                              [1.0, -0.5])
+        assert apply_representation(w, [1.0, 2.0], 1, np.int64(1)) == 1.0
 
     def test_array_coercion(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from lattice_bc.forward import (apply_representation, solve_goursat,
-                                solve_interval, solve_semi_infinite,
+from lattice_bc.forward import (_goursat_steps, apply_representation,
+                                solve_goursat, solve_interval,
+                                solve_semi_infinite,
                                 interval_fourier_solution)
 from lattice_bc.spectral import build_hamiltonian, eigen_decompose
 
@@ -136,6 +137,17 @@ class TestGoursat:
     def test_short_potential_rejected(self):
         with pytest.raises(ValueError):
             solve_goursat([1.0, 2.0], 3)
+
+    @given(rows=st.integers(1, 5), S=st.integers(1, 40),
+           amplitude=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_fill_rows_are_single_fills(self, rows, S, amplitude,
+                                               seed):
+        b = np.random.default_rng(seed).uniform(-amplitude, amplitude,
+                                                (rows, S + 2))
+        w = np.array([slab.copy() for slab in _goursat_steps(b, S)])
+        assert w.shape == (S + 1, rows, S + 1)
+        for m in range(rows):
+            assert np.array_equal(w[:, m].T, solve_goursat(b[m], S).table)
 
     def test_value_accessor(self):
         w = solve_goursat([1.0, 1.0], 2)

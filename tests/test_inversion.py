@@ -11,7 +11,8 @@ from lattice_bc.core import Tolerances
 from lattice_bc.inversion import (CharacterizationVerdict, DegenerateTrace,
                                   InversionError, KreinConfig,
                                   SingularConnecting, SingularLeadingMinor,
-                                  characterize_response,
+                                  _krein_rhs, _moment_recursion,
+                                  _solve_stack, characterize_response,
                                   invert_factorization,
                                   invert_gelfand_levitan, invert_krein)
 
@@ -211,6 +212,80 @@ class TestCrossMethod:
     def test_kernel_must_be_normalized(self):
         with pytest.raises(ValueError):
             invert_factorization([2.0, 0.0, 0.0], 2)
+
+
+def outcome(solver, *args):
+    try:
+        return solver(*args)
+    except InversionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def kernel_stack(kinds, T, amplitude, rng):
+    """One kernel per kind: genuine, corrupted at an odd index, an exact
+    zero pivot at order 2, or random noise."""
+    r = np.zeros((len(kinds), 2 * T - 1))
+    r[:, 0] = 1.0
+    for m, kind in enumerate(kinds):
+        if kind in ("genuine", "corrupted"):
+            b = rng.uniform(-amplitude, amplitude, T - 1)
+            r[m] = kernel_of(b, T)
+            if kind == "corrupted" and T > 1:
+                r[m, 2 * int(rng.integers(0, T - 1)) + 1] += 0.5
+        elif kind == "singular" and T > 1:
+            r[m, 2] = -1.0
+        elif kind == "noise":
+            r[m, 1:] = rng.normal(size=2 * T - 2) * 10.0 ** rng.uniform(-3, 6)
+    return r
+
+
+class TestStack:
+    kinds = st.lists(st.sampled_from(("genuine", "corrupted", "singular",
+                                      "noise")), min_size=1, max_size=6)
+
+    @given(T=st.integers(1, 40), kinds=kinds, amplitude=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_recursion_columns_are_single_recursions(self, T, kinds,
+                                                     amplitude, seed):
+        r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
+        g = _krein_rhs(r, T, KreinConfig(alpha=0.3, beta=1.2))
+        rec = _moment_recursion(r, T, g)
+        for m in range(len(kinds)):
+            one = _moment_recursion(r[m:m + 1], T, g[m:m + 1])
+            stop = one.stop[0]
+            assert (rec.stop[m], rec.floor_fail[m]) == (stop,
+                                                        one.floor_fail[0])
+            # long double compared by value: equal 80-bit values may
+            # differ in their padding bytes
+            assert np.array_equal(rec.alpha[:stop, m], one.alpha[:stop, 0])
+            assert np.array_equal(rec.d[:stop + 1, m], one.d[:stop + 1, 0])
+            if one.floor_fail[0] == T:
+                assert np.array_equal(rec.z[:, m], one.z[:, 0])
+
+    @given(T=st.integers(1, 40), kinds=kinds, amplitude=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_outcomes_are_single_calls(self, T, kinds, amplitude,
+                                             seed):
+        r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
+        tol = Tolerances()
+        for m, (verdict, fact, krein) in enumerate(_solve_stack(r, T, tol)):
+            one = characterize_response(r[m], T, tol)
+            assert (verdict.admissible, verdict.first_failing_order) == (
+                one.admissible, one.first_failing_order)
+            assert np.array_equal(verdict.minor_values, one.minor_values)
+            assert np.array_equal(verdict.pivot_values, one.pivot_values)
+            if isinstance(fact, InversionError):
+                fact = type(fact).__name__, str(fact)
+            if isinstance(krein, InversionError):
+                krein = type(krein).__name__, str(krein)
+            assert same_outcome(fact, outcome(invert_factorization, r[m], T))
+            assert same_outcome(krein, outcome(invert_krein, r[m], T))
 
 
 # Agreement with the exact LDL^T of the same float kernel: relative to

@@ -55,3 +55,25 @@ def test_stage_times_records_every_stage(tmp_path):
             "build_hamiltonian", "eigenvalues", "eigenvectors",
             "kernel_from_spectral", "invert_spectral"}
         assert cell["max_abs_err"] <= 1e-6
+
+
+def test_stage_times_roundtrip_pipeline(tmp_path):
+    out = tmp_path / "stages.json"
+    run_script("stage_times.py", "--pipeline", "roundtrip", "--label", "only",
+               "--output", str(out), "--sizes", "3", "--instances", "1")
+    run = json.loads(out.read_text())["runs"]["only"]
+    assert run["pipeline"] == "roundtrip"
+    cells = run["cells"]
+    assert [(c["T"], c["amplitude"]) for c in cells] == [(3, 0.1), (3, 0.3)]
+    stages = {"response_kernel", "characterize_response",
+              "invert_factorization", "invert_krein",
+              "roundtrip_report[25]", "roundtrip_report[500]"}
+    for cell in cells:
+        for key in ("stage_ms", "max_abs_err", "failed"):
+            assert set(cell[key]) == stages
+        assert all(isinstance(ms, float) for ms in cell["stage_ms"].values())
+        assert not any(cell["failed"].values())
+        errors = dict(cell["max_abs_err"])
+        assert errors.pop("response_kernel") is None
+        assert errors.pop("characterize_response") is None
+        assert all(err <= 1e-6 for err in errors.values())
