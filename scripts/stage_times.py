@@ -17,12 +17,19 @@ The round-trip pipeline (size T, the horizon):
     characterize_response    the admissibility verdict on r
     invert_factorization     b-hat by layer stripping
     invert_krein             b-hat through the lambda = 0 trace
+    shared                   the verdict and all three solvers on r, as
+                             `lattice-bc invert` and the invert-deep
+                             benchmark call them: one moment recursion,
+                             read four times
     roundtrip_report[M]      cli.roundtrip_report over M draws, for M in
                              REPORT_SIZES
 
 Each stage time is the best of REPEATS calls per potential, and the
 cell reports the median over potentials in milliseconds (a report is
-timed once per cell).  Next to the times it records max |b-hat - b|:
+timed once per cell).  The inversion functions share the recursion of
+the last kernel they saw, so that cache is cleared before every call:
+each single-stage time is a cold call, and shared shows what sharing
+saves.  Next to the times it records max |b-hat - b|:
 over the potentials eigen_decompose accepted, with how many it
 rejected, for the spectral pipeline; per solver and per report, with
 the inadmissible verdicts, raising solver calls and report failures,
@@ -54,12 +61,13 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lattice_bc import linalg  # noqa: E402
+from lattice_bc import inversion, linalg  # noqa: E402
 from lattice_bc.bc_ops import response_kernel  # noqa: E402
 from lattice_bc.cli import roundtrip_report  # noqa: E402
 from lattice_bc.inversion import (InversionError,  # noqa: E402
                                   characterize_response,
-                                  invert_factorization, invert_krein)
+                                  invert_factorization,
+                                  invert_gelfand_levitan, invert_krein)
 from lattice_bc.spectral import (ConvergenceFailure,  # noqa: E402
                                  build_hamiltonian, eigen_decompose,
                                  invert_spectral, kernel_from_spectral)
@@ -75,9 +83,12 @@ REPORT_SIZES = (25, 500)
 
 
 def best_ms(fn, *args):
-    """Best wall time of REPEATS calls, and the last result."""
+    """Best wall time of REPEATS cold calls, and the last result."""
     best = float("inf")
     for _ in range(REPEATS):
+        # the recursion the inversion functions share; a library
+        # without it ignores the attribute
+        inversion._slot = None
         start = time.perf_counter()
         result = fn(*args)
         best = min(best, time.perf_counter() - start)
@@ -124,10 +135,23 @@ def time_spectral_cell(rng, N, amplitude, instances):
     }
 
 
+def shared(r, T):
+    """The verdict and the solvers' outcomes on one kernel."""
+    outcomes = []
+    for solver in (invert_krein, invert_factorization,
+                   invert_gelfand_levitan):
+        try:
+            outcomes.append(solver(r, T))
+        except InversionError as exc:
+            outcomes.append(exc)
+    return characterize_response(r, T), outcomes
+
+
 def time_roundtrip_cell(rng, T, amplitude, instances):
     """Stage medians (ms), and per stage max |b-hat - b| and failures."""
     times = {"response_kernel": [], "characterize_response": []}
     times.update({name: [] for name in SOLVERS})
+    times["shared"] = []
     worst = dict.fromkeys(times)
     failed = dict.fromkeys(times, 0)
     for _ in range(instances):
@@ -146,6 +170,14 @@ def time_roundtrip_cell(rng, T, amplitude, instances):
             times[name].append(ms)
             err = float(np.max(np.abs(b_hat - b))) if b.size else 0.0
             worst[name] = max(err, worst[name] or 0.0)
+        ms, (_, outcomes) = best_ms(shared, r, T)
+        times["shared"].append(ms)
+        for b_hat in outcomes:
+            if isinstance(b_hat, InversionError):
+                failed["shared"] += 1
+                continue
+            err = float(np.max(np.abs(b_hat - b))) if b.size else 0.0
+            worst["shared"] = max(err, worst["shared"] or 0.0)
     stage_ms = {stage: statistics.median(values) if values else None
                 for stage, values in times.items()}
     for M in REPORT_SIZES:

@@ -21,11 +21,11 @@ from .bc_ops import (_response_kernels, connecting_matrix,
                      connecting_via_waves, response_kernel)
 from .core import Tolerances
 from .forward import solve_interval, solve_semi_infinite
-from .inversion import (DegenerateTrace, InversionError, KreinConfig,
-                        SingularConnecting, SingularLeadingMinor,
-                        _solve_stack, characterize_response,
-                        invert_factorization, invert_gelfand_levitan,
-                        invert_krein)
+from .inversion import (DegenerateTrace, KreinConfig, SingularConnecting,
+                        SingularLeadingMinor, _moment_recursion,
+                        _read_factorization, _read_krein, _read_verdict,
+                        characterize_response, invert_factorization,
+                        invert_gelfand_levitan, invert_krein)
 from .linalg import ConvergenceFailure
 from .spectral import build_hamiltonian, eigen_decompose, invert_spectral
 
@@ -183,15 +183,34 @@ def _check_roundtrip(instances, T, amplitude):
     if (not isinstance(T, (int, np.integer)) or isinstance(T, bool)
             or T < 1):
         raise ValueError("--horizon is required and must be positive")
-    if not (amplitude >= 0.0 and np.isfinite(amplitude)):
+    # the draws span 2 * amplitude, which must be finite
+    if not 0.0 <= amplitude <= np.finfo(float).max / 2:
         raise ValueError("amplitude must be finite and nonnegative")
 
 
-def _roundtrip_outcome(recovered, b):
-    if isinstance(recovered, InversionError):
-        return None, type(recovered).__name__
-    err = float(np.max(np.abs(recovered - b))) if b.size else 0.0
-    return err, None
+def _tally(entry, start, b_hat, draws, errors):
+    """Add one block's outcomes of a method to its report entry.
+
+    b_hat (T - 1, M) holds the recovered potentials of the block's
+    draws (M, T - 1) and errors (M,) the name of each failure, "" for
+    a success.  max_abs_error follows the one-instance-at-a-time rule:
+    the first success sets it and a later error replaces it when
+    larger, so a NaN first error stays.
+    """
+    failed = errors != ""
+    for i in np.flatnonzero(failed):
+        entry["failures"].append(
+            {"instance": start + int(i), "error": str(errors[i])})
+    entry["successes"] += int(np.count_nonzero(~failed))
+    # initial=0.0 gives the error 0 at T = 1, where b has no entries
+    errs = np.max(np.abs(b_hat - draws.T), axis=0, initial=0.0)[~failed]
+    current = entry["max_abs_error"]
+    if current is None:
+        if not errs.size:
+            return
+        current, errs = float(errs[0]), errs[1:]
+    larger = errs[errs > current]
+    entry["max_abs_error"] = float(larger.max()) if larger.size else current
 
 
 def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
@@ -201,8 +220,9 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
     to the three solvers; the report tallies per-method successes,
     worst recovery error and failures, and the inadmissible instances.
     The draws are taken in blocks of _BLOCK instances, each served by
-    one stacked kernel fill and one moment recursion; the report is
-    the same bytes as one draw, kernel and solver call per instance.
+    one stacked kernel fill and one moment recursion, whose readouts
+    are tallied as arrays; the report is the same bytes as one draw,
+    kernel and solver call per instance.
     """
     _check_roundtrip(instances, T, amplitude)
     if not isinstance(tol, Tolerances):
@@ -220,28 +240,20 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
         if not np.all(np.isfinite(r)):
             # what characterize_response raises for such a kernel
             raise ValueError("kernel contains non-finite entries")
-        solved = _solve_stack(r, T, tol)
-        for i, b, (verdict, factorization, krein) in zip(
-                range(start, instances), draws, solved):
-            if verdict.admissible:
-                admissible_count += 1
-            else:
-                inadmissible.append(i)
-            # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
-            factorization = _roundtrip_outcome(factorization, b)
-            outcomes = {"krein": _roundtrip_outcome(krein, b),
-                        "factorization": factorization,
-                        "gelfand_levitan": factorization}
-            for name, (err, failure) in outcomes.items():
-                entry = methods[name]
-                if failure is not None:
-                    entry["failures"].append(
-                        {"instance": i, "error": failure})
-                else:
-                    entry["successes"] += 1
-                    if (entry["max_abs_error"] is None
-                            or err > entry["max_abs_error"]):
-                        entry["max_abs_error"] = err
+        rec = _moment_recursion(r, T)
+        failing = _read_verdict(rec, T, tol)[3]
+        admissible_count += int(np.count_nonzero(failing == 0))
+        inadmissible.extend((start + np.flatnonzero(failing)).tolist())
+        b_hat, singular = _read_factorization(rec, T)
+        errors = np.where(singular > 0, SingularLeadingMinor.__name__, "")
+        # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
+        for name in ("factorization", "gelfand_levitan"):
+            _tally(methods[name], start, b_hat, draws, errors)
+        b_hat, singular, vanished = _read_krein(rec, T, KreinConfig())
+        errors = np.where(singular > 0, SingularConnecting.__name__,
+                          np.where(vanished > 0, DegenerateTrace.__name__,
+                                   ""))
+        _tally(methods["krein"], start, b_hat, draws, errors)
     return {
         "kind": "roundtrip_report",
         "seed": seed,

@@ -22,12 +22,24 @@ factorization; the Krein systems of all horizons share one forward
 substitution with L, done inside the recursion.
 
 The recursion runs on an (M, 2T-1) stack of kernels, one Python step
-per order for the whole stack, and each public function is its M = 1
-case: it runs the stack of one and reads that kernel's column.
-_solve_stack reads the verdict, the factorization and Krein for every
-kernel of a larger stack from one recursion; the round-trip report
-calls it once per block of instances, with the same bits per kernel as
-the public functions.
+per order for the whole stack.  Three readouts turn it into (., M)
+arrays, one column per kernel: _read_verdict (minors, pivots, reached
+and first failing order), _read_factorization (b-hat and the failing
+order) and _read_krein (b-hat, the horizon of a pivot at the floor and
+the first vanished trace site).  Each public function is their M = 1
+case: it reads column 0 and builds the verdict or raises the failure.
+The round-trip report reads them once per block of instances, with the
+same bits per kernel as the public functions.
+
+The public functions share one recursion per kernel, with the default
+Krein right-hand sides: a single slot holds the recursion of the last
+kernel, keyed by T and the bytes of r_0..r_{2T-2}, so the verdict and
+the solvers on one kernel run it once.  Its arrays are read-only and
+every readout builds new arrays, so callers get writable results; the
+key and the recursion are swapped in as one tuple, so threads may call
+the functions concurrently.  invert_krein with any other KreinConfig
+runs its own recursion and leaves the slot alone.  Stacks are never
+cached.
 
 The recursion runs in numpy's long double.  On platforms where that
 type is float64 (ARM macOS, Windows) it runs in float64, so verdict
@@ -135,21 +147,21 @@ class _Recursion(NamedTuple):
     """The moment recursion of a stack of M kernels, in long double.
 
     Column m of alpha (T - 1, M), of the pivots d (T, M) and of
-    z = L^{-1} g (T, M, or None without g) belongs to kernel m.  stop
-    is the index of each kernel's first zero pivot and floor_fail that
-    of its first pivot not above the solvers' floor, each T when there
-    is none.  A kernel's entries past its stop, or past a non-finite
-    pivot, are never read.
+    z = L^{-1} g (T, M) belongs to kernel m.  stop is the index of each
+    kernel's first zero pivot and floor_fail that of its first pivot
+    not above the solvers' floor, each T when there is none.  A
+    kernel's entries past its stop, or past a non-finite pivot, are
+    never read.
     """
 
     alpha: np.ndarray
     d: np.ndarray
-    z: np.ndarray | None
+    z: np.ndarray
     stop: np.ndarray
     floor_fail: np.ndarray
 
 
-def _moment_recursion(r, T, g=None):
+def _moment_recursion(r, T, config=KreinConfig()):
     """LDL^T of C-bar and the Jacobi coefficients, from r_0..r_{2T-2}.
 
     The modified Chebyshev algorithm (Sack & Donovan 1971; Wheeler
@@ -163,8 +175,8 @@ def _moment_recursion(r, T, g=None):
     with alpha_k = L_{k+1,k} - L_{k,k-1}, beta_k = d_k / d_{k-1},
     pivots d_k = sigma_{k,k} and L_{ik} = sigma_{k,i} / sigma_{k,k}, so
     that C-bar = L diag(d) L^T.  b_{k+1} = -alpha_k for response data.
-    Column k of L is used as soon as it is known, to reduce the
-    right-hand sides g (M, T), if given, by forward substitution, so L
+    Column k of L is used as soon as it is known, to reduce the Krein
+    right-hand sides g (M, T) of config by forward substitution, so L
     itself is never stored.
 
     r is an (M, >= 2T - 1) stack, held with the stack axis last, and
@@ -181,8 +193,8 @@ def _moment_recursion(r, T, g=None):
     spare = np.empty((n, M), dtype=np.longdouble)
     alpha = np.empty((T - 1, M), dtype=np.longdouble)
     d = np.empty((T, M), dtype=np.longdouble)
-    z = (None if g is None
-         else np.array(g.T, dtype=np.longdouble, order="C"))
+    z = np.array(_krein_rhs(r, T, config).T, dtype=np.longdouble,
+                 order="C")
     with np.errstate(all="ignore"):
         for k in range(T):
             if k:
@@ -195,22 +207,26 @@ def _moment_recursion(r, T, g=None):
             d[k] = sigma[k]
             if k < T - 1:
                 # lower = L_{k+1,k}; upper keeps L_{k,k-1} from step k-1
-                if z is None:
-                    lower = sigma[k + 1] / d[k]
-                else:
-                    column = sigma[k + 1:T] / d[k]
-                    z[k + 1:] -= column * z[k]
-                    lower = column[0]
+                column = sigma[k + 1:T] / d[k]
+                z[k + 1:] -= column * z[k]
+                lower = column[0]
                 alpha[k] = lower - upper if k else lower
                 upper = lower
             beta = d[k] / d[k - 1] if k else d[0]
         usable = np.isfinite(d) & (np.abs(d) > _pivot_floor(r, T).T)
-    return _Recursion(alpha, d, z, _first(d == 0, T), _first(~usable, T))
+    return _Recursion(alpha, d, z, _first(d == 0), _first(~usable))
 
 
-def _first(flags, T):
-    """Index of the first true entry of each column of flags, else T."""
-    return np.where(np.any(flags, axis=0), np.argmax(flags, axis=0), T)
+def _first(flags):
+    """Index of the first true row in each column of flags, else the
+    row count."""
+    sentinel = np.ones((1, flags.shape[1]), dtype=bool)
+    return np.argmax(np.concatenate((flags, sentinel)), axis=0)
+
+
+def _order(index, count):
+    """The 1-based order index + 1 where index < count, else 0."""
+    return np.where(index < count, index + 1, 0)
 
 
 def _pivot_floor(r, T):
@@ -239,68 +255,70 @@ def _krein_rhs(r, T, config):
     return np.broadcast_to(g, (r.shape[0], T))
 
 
-def _krein(rec, m, T, config):
-    """Krein readout of kernel m: pivot floor, trace y, then b."""
-    if rec.floor_fail[m] < T:
-        raise SingularConnecting(rec.floor_fail[m] + 1)
-    y = np.concatenate(([config.alpha], rec.z[:, m] / rec.d[:, m]))
-    vanished = np.abs(y[1:T]) <= _DEGENERACY_TOL * np.max(np.abs(y))
-    if np.any(vanished):
-        raise DegenerateTrace(np.argmax(vanished) + 1)
-    return ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
+# The recursion of the last kernel a public function read, with the
+# default Krein right-hand sides, as one (key, _Recursion) tuple.
+_slot = None
 
 
-def _factorization(rec, m, T):
-    """Layer-stripping readout of kernel m: pivot floor, then b."""
-    if rec.floor_fail[m] < T - 1:
-        raise SingularLeadingMinor(rec.floor_fail[m] + 1)
-    return -rec.alpha[:, m].astype(float)
+def _shared_recursion(r, T):
+    """The recursion of the checked kernel r with the default Krein
+    right-hand sides, from the slot when r is the last kernel.
 
-
-def _verdict(rec, m, T, tol):
-    """Admissibility verdict of kernel m from its pivots up to its stop."""
-    d = rec.d[:rec.stop[m] + 1, m]
-    with np.errstate(over="ignore"):
-        minors = np.cumprod(d).astype(float)
-        pivots = d.astype(float)
-    finite = np.isfinite(minors) & np.isfinite(pivots)
-    k = d.size if np.all(finite) else int(np.argmin(finite))
-    minors, pivots = minors[:k], pivots[:k]
-    # orders past a zero pivot or a float64 overflow fail unreported
-    passed = np.zeros(T, dtype=bool)
-    passed[:k] = ((np.abs(minors - 1.0) <= tol.det_tol)
-                  & (pivots > tol.pivot_tol))
-    first = None if np.all(passed) else int(np.argmin(passed)) + 1
-    return CharacterizationVerdict(
-        admissible=first is None,
-        first_failing_order=first,
-        minor_values=minors,
-        pivot_values=pivots,
-    )
-
-
-def _attempt(solver, *args):
-    try:
-        return solver(*args)
-    except InversionError as exc:
-        return exc
-
-
-def _solve_stack(r, T, tol):
-    """Verdict, factorization and Krein outcome for each kernel of a stack.
-
-    r is an (M, >= 2T - 1) stack of finite kernels with r_0 = 1.  One
-    moment recursion, with its forward substitution, serves every
-    kernel, and the outcomes for kernel m are the same bits as
-    characterize_response(r[m], T, tol), invert_factorization(r[m], T)
-    and invert_krein(r[m], T); a solver that fails gives its
-    InversionError in place of b-hat.  Returns a list of
-    (verdict, factorization, krein), one per kernel.
+    The recursion reads r_0..r_{2T-2} only, so those bytes and T are
+    the key.  The cached arrays are read-only, and the slot is swapped
+    in one assignment, so a thread sees either the old or the new slot.
     """
-    config = KreinConfig()
-    rec = _moment_recursion(r, T, _krein_rhs(r, T, config))
-    return [(_verdict(rec, m, T, tol), _attempt(_factorization, rec, m, T),
-             _attempt(_krein, rec, m, T, config)) for m in range(len(r))]
+    global _slot
+    key = (T, r[:2 * T - 1].tobytes())
+    slot = _slot
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    rec = _moment_recursion(r[None], T)
+    for array in rec:
+        array.flags.writeable = False
+    _slot = key, rec
+    return rec
+
+
+def _read_verdict(rec, T, tol):
+    """The admissibility verdicts of every kernel of rec.
+
+    Returns the float64 minors and pivots (T, M), valid in each
+    column's rows below its reached order, the reached order (M,) and
+    the first failing order (M,), 0 when admissible.
+    """
+    with np.errstate(all="ignore"):
+        minors = np.cumprod(rec.d, axis=0).astype(float)
+        pivots = rec.d.astype(float)
+        # a zero pivot and a value beyond float64 fail their order, so
+        # the first failing order is never past the reached ones
+        passed = ((np.abs(minors - 1.0) <= tol.det_tol)
+                  & (pivots > tol.pivot_tol))
+    finite = np.isfinite(minors) & np.isfinite(pivots)
+    reached = np.minimum(np.minimum(rec.stop + 1, T), _first(~finite))
+    return minors, pivots, reached, _order(_first(~passed), T)
+
+
+def _read_factorization(rec, T):
+    """Layer stripping for every kernel of rec: b-hat (T - 1, M) and
+    the order (M,) of its first pivot at the floor, 0 for none."""
+    with np.errstate(all="ignore"):
+        b = -rec.alpha.astype(float)
+    return b, _order(rec.floor_fail, T - 1)
+
+
+def _read_krein(rec, T, config):
+    """Krein for every kernel of rec, whose right-hand sides g are those
+    of config: b-hat (T - 1, M), the horizon (M,) of the first pivot at
+    the floor and the first site (M,) where the trace y vanishes, each
+    0 for none.  A pivot at the floor comes before a vanished site."""
+    alpha = np.full((1, rec.d.shape[1]), config.alpha, dtype=np.longdouble)
+    with np.errstate(all="ignore"):
+        y = np.concatenate((alpha, rec.z / rec.d))
+        vanished = (np.abs(y[1:T])
+                    <= _DEGENERACY_TOL * np.max(np.abs(y), axis=0))
+        b = ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
+    return b, _order(rec.floor_fail, T), _order(_first(vanished), T - 1)
 
 
 def invert_krein(r, T, config=KreinConfig()):
@@ -326,8 +344,16 @@ def invert_krein(r, T, config=KreinConfig()):
     r, T = _checked_kernel(r, T)
     if not isinstance(config, KreinConfig):
         raise ValueError("config must be a KreinConfig")
-    rec = _moment_recursion(r[None], T, _krein_rhs(r[None], T, config))
-    return _krein(rec, 0, T, config)
+    if config == KreinConfig():
+        rec = _shared_recursion(r, T)
+    else:
+        rec = _moment_recursion(r[None], T, config)
+    b, singular, vanished = _read_krein(rec, T, config)
+    if singular[0]:
+        raise SingularConnecting(singular[0])
+    if vanished[0]:
+        raise DegenerateTrace(vanished[0])
+    return b[:, 0]
 
 
 def invert_factorization(r, T):
@@ -341,7 +367,10 @@ def invert_factorization(r, T):
     floor raises SingularLeadingMinor(order).
     """
     r, T = _checked_kernel(r, T)
-    return _factorization(_moment_recursion(r[None], T), 0, T)
+    b, singular = _read_factorization(_shared_recursion(r, T), T)
+    if singular[0]:
+        raise SingularLeadingMinor(singular[0])
+    return b[:, 0]
 
 
 def invert_gelfand_levitan(r, T):
@@ -377,4 +406,11 @@ def characterize_response(r, T, tol=Tolerances()):
     r, T = _checked_kernel(r, T)
     if not isinstance(tol, Tolerances):
         raise ValueError("tol must be a Tolerances instance")
-    return _verdict(_moment_recursion(r[None], T), 0, T, tol)
+    minors, pivots, reached, failing = _read_verdict(
+        _shared_recursion(r, T), T, tol)
+    return CharacterizationVerdict(
+        admissible=not failing[0],
+        first_failing_order=int(failing[0]) or None,
+        minor_values=minors[:reached[0], 0],
+        pivot_values=pivots[:reached[0], 0],
+    )

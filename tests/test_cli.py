@@ -320,6 +320,16 @@ class TestRoundtrip:
         assert capsys.readouterr().err == (
             "error: amplitude must be finite and nonnegative\n")
 
+    def test_amplitude_whose_range_overflows_exits_2(self, capsys):
+        # the draws span 2a, which overflows for a > max / 2
+        for amplitude in ("1e308", "8.99e307"):
+            assert main(["roundtrip", "--instances", "2", "--horizon", "4",
+                         "--amplitude", amplitude]) == 2
+            assert capsys.readouterr().err == (
+                "error: amplitude must be finite and nonnegative\n")
+            with pytest.raises(ValueError, match="amplitude must be finite"):
+                roundtrip_report(0, 2, 4, float(amplitude))
+
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2 ** 32 - 1), instances=st.integers(0, 13),
            T=st.integers(1, 40), amplitude=st.floats(0.0, 3.0),
@@ -332,6 +342,31 @@ class TestRoundtrip:
         reference = helpers.reference_roundtrip_report(seed, instances, T,
                                                        amplitude)
         assert files.dumps_json(report) == files.dumps_json(reference)
+
+    @given(errs=st.lists(st.one_of(st.floats(0.0, 4.0), st.sampled_from(
+               (0.0, 1.0, float("nan"), float("inf")))), max_size=12),
+           data=st.data())
+    def test_tally_is_the_one_at_a_time_rule(self, errs, data):
+        # NaN, inf and ties, which the reports themselves rarely reach
+        M = len(errs)
+        failed = data.draw(st.lists(st.booleans(), min_size=M, max_size=M))
+        cuts = sorted(data.draw(st.lists(st.integers(0, M), max_size=3)))
+        want = {"successes": 0, "max_abs_error": None, "failures": []}
+        for i, (err, fail) in enumerate(zip(errs, failed)):
+            if fail:
+                want["failures"].append({"instance": i, "error": "Failed"})
+            else:
+                want["successes"] += 1
+                if (want["max_abs_error"] is None
+                        or err > want["max_abs_error"]):
+                    want["max_abs_error"] = err
+        entry = {"successes": 0, "max_abs_error": None, "failures": []}
+        b_hat = np.array([errs])
+        errors = np.where(failed, "Failed", "")
+        for lo, hi in zip([0] + cuts, cuts + [M]):
+            cli._tally(entry, lo, b_hat[:, lo:hi], np.zeros((hi - lo, 1)),
+                       errors[lo:hi])
+        assert repr(entry) == repr(want)
 
     def test_report_crossing_two_blocks(self):
         # at T = 16, amplitude 2 some instances raise in each solver

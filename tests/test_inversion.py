@@ -1,18 +1,24 @@
 """Inverse solvers and the admissibility characterization."""
 
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from lattice_bc import inversion
 from lattice_bc.bc_ops import connecting_matrix, response_kernel, \
     rotated_connecting
 from lattice_bc.core import Tolerances
 from lattice_bc.inversion import (CharacterizationVerdict, DegenerateTrace,
                                   InversionError, KreinConfig,
                                   SingularConnecting, SingularLeadingMinor,
-                                  _krein_rhs, _moment_recursion,
-                                  _solve_stack, characterize_response,
+                                  _moment_recursion,
+                                  _read_factorization, _read_krein,
+                                  _read_verdict, characterize_response,
                                   invert_factorization,
                                   invert_gelfand_levitan, invert_krein)
 
@@ -221,15 +227,27 @@ def outcome(solver, *args):
         return type(exc).__name__, str(exc)
 
 
+def column_outcome(b, *failures):
+    """A readout column as outcome() gives it: the exception of the
+    first (class, order) pair with a nonzero order, else b."""
+    for error, order in failures:
+        if order:
+            exc = error(order)
+            return type(exc).__name__, str(exc)
+    return b
+
+
 def same_outcome(a, b):
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b)
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
     return a == b
 
 
 def kernel_stack(kinds, T, amplitude, rng):
     """One kernel per kind: genuine, corrupted at an odd index, an exact
-    zero pivot at order 2, or random noise."""
+    zero pivot at order 2, random noise, or noise whose pivots overflow
+    float64."""
     r = np.zeros((len(kinds), 2 * T - 1))
     r[:, 0] = 1.0
     for m, kind in enumerate(kinds):
@@ -242,22 +260,27 @@ def kernel_stack(kinds, T, amplitude, rng):
             r[m, 2] = -1.0
         elif kind == "noise":
             r[m, 1:] = rng.normal(size=2 * T - 2) * 10.0 ** rng.uniform(-3, 6)
+        elif kind == "overflow":
+            r[m, 1:] = rng.normal(size=2 * T - 2) * 1e150
     return r
 
 
+KINDS = ("genuine", "corrupted", "singular", "noise", "overflow")
+CONFIGS = (KreinConfig(), KreinConfig(alpha=0.3, beta=1.2))
+
+
 class TestStack:
-    kinds = st.lists(st.sampled_from(("genuine", "corrupted", "singular",
-                                      "noise")), min_size=1, max_size=6)
+    kinds = st.lists(st.sampled_from(KINDS), min_size=1, max_size=6)
 
     @given(T=st.integers(1, 40), kinds=kinds, amplitude=st.floats(0.0, 3.0),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_recursion_columns_are_single_recursions(self, T, kinds,
                                                      amplitude, seed):
         r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
-        g = _krein_rhs(r, T, KreinConfig(alpha=0.3, beta=1.2))
-        rec = _moment_recursion(r, T, g)
+        config = KreinConfig(alpha=0.3, beta=1.2)
+        rec = _moment_recursion(r, T, config)
         for m in range(len(kinds)):
-            one = _moment_recursion(r[m:m + 1], T, g[m:m + 1])
+            one = _moment_recursion(r[m:m + 1], T, config)
             stop = one.stop[0]
             assert (rec.stop[m], rec.floor_fail[m]) == (stop,
                                                         one.floor_fail[0])
@@ -269,23 +292,167 @@ class TestStack:
                 assert np.array_equal(rec.z[:, m], one.z[:, 0])
 
     @given(T=st.integers(1, 40), kinds=kinds, amplitude=st.floats(0.0, 3.0),
-           seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1), config=st.sampled_from(CONFIGS))
     def test_stack_outcomes_are_single_calls(self, T, kinds, amplitude,
-                                             seed):
+                                             seed, config):
         r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
         tol = Tolerances()
-        for m, (verdict, fact, krein) in enumerate(_solve_stack(r, T, tol)):
+        rec = _moment_recursion(r, T, config)
+        minors, pivots, reached, failing = _read_verdict(rec, T, tol)
+        fact, fact_order = _read_factorization(rec, T)
+        krein, horizon, site = _read_krein(rec, T, config)
+        for m in range(len(kinds)):
             one = characterize_response(r[m], T, tol)
-            assert (verdict.admissible, verdict.first_failing_order) == (
+            assert (not failing[m], failing[m] or None) == (
                 one.admissible, one.first_failing_order)
-            assert np.array_equal(verdict.minor_values, one.minor_values)
-            assert np.array_equal(verdict.pivot_values, one.pivot_values)
-            if isinstance(fact, InversionError):
-                fact = type(fact).__name__, str(fact)
-            if isinstance(krein, InversionError):
-                krein = type(krein).__name__, str(krein)
-            assert same_outcome(fact, outcome(invert_factorization, r[m], T))
-            assert same_outcome(krein, outcome(invert_krein, r[m], T))
+            assert same_outcome(minors[:reached[m], m], one.minor_values)
+            assert same_outcome(pivots[:reached[m], m], one.pivot_values)
+            assert same_outcome(
+                column_outcome(fact[:, m], (SingularLeadingMinor,
+                                            fact_order[m])),
+                outcome(invert_factorization, r[m], T))
+            assert same_outcome(
+                column_outcome(krein[:, m], (SingularConnecting, horizon[m]),
+                               (DegenerateTrace, site[m])),
+                outcome(invert_krein, r[m], T, config))
+
+
+def verdict_bits(verdict):
+    return (verdict.admissible, verdict.first_failing_order,
+            verdict.minor_values.tobytes(), verdict.pivot_values.tobytes())
+
+
+def call_bits(fn, r, T, *args):
+    """fn(r, T, *args) in a comparable form, or its exception."""
+    try:
+        result = fn(r, T, *args)
+    except InversionError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, CharacterizationVerdict):
+        return verdict_bits(result)
+    return result.dtype, result.tobytes()
+
+
+def cold(fn, r, T, *args):
+    """call_bits with the shared recursion cleared first."""
+    inversion._slot = None
+    return call_bits(fn, r, T, *args)
+
+
+PUBLIC = (characterize_response, invert_krein, invert_factorization,
+          invert_gelfand_levitan)
+
+
+class TestSharedRecursion:
+    """The public functions share the recursion of the last kernel."""
+
+    def kernels(self, T, seed, count=1):
+        rng = np.random.default_rng(seed)
+        return kernel_stack([KINDS[k % len(KINDS)] for k in range(count)],
+                            T, 0.5, rng)
+
+    def test_kernel_mutated_in_place_is_fresh(self):
+        T = 8
+        r = self.kernels(T, 70)[0]
+        for fn in PUBLIC:
+            # an odd entry, and the last one the recursion reads
+            for index in (3, 2 * T - 2):
+                before = call_bits(fn, r, T)
+                r[index] += 0.25
+                assert call_bits(fn, r, T) == cold(fn, r.copy(), T)
+                if index == 3:
+                    assert call_bits(fn, r, T) != before
+                r[index] -= 0.25
+                assert call_bits(fn, r, T) == cold(fn, r.copy(), T)
+
+    def test_longer_kernel_with_the_same_prefix(self):
+        T = 8
+        r = self.kernels(T, 71)[0]
+        longer = np.concatenate((r, [1e6, -1e6, 3.0]))
+        for fn in PUBLIC:
+            want = cold(fn, r, T)
+            assert call_bits(fn, longer, T) == want
+            assert cold(fn, longer, T) == want
+            assert call_bits(fn, r, T) == want
+
+    def test_other_horizon_is_not_reused(self):
+        T = 8
+        r = self.kernels(T + 1, 72)[0]
+        for fn in PUBLIC:
+            short, long = cold(fn, r, T), cold(fn, r, T + 1)
+            assert call_bits(fn, r, T) == short
+            assert call_bits(fn, r, T + 1) == long
+            assert inversion._slot[0][0] == T + 1
+            assert call_bits(fn, r, T) == short
+
+    def test_other_krein_config_leaves_the_slot_alone(self):
+        T = 6
+        config = KreinConfig(alpha=0.3, beta=1.2)
+        rng = np.random.default_rng(73)
+        r = kernel_of(rng.uniform(2.1, 2.6, T - 1), T)
+        default = cold(invert_krein, r, T)
+        slot = inversion._slot
+        got = invert_krein(r, T, config)
+        assert inversion._slot is slot
+        assert exact_close(got, helpers.exact_krein(r, T, 0.3, 1.2), r)
+        assert call_bits(invert_krein, r, T, config) == cold(
+            invert_krein, r, T, config)
+        assert call_bits(invert_krein, r, T) == default
+        # -0.0 is the default alpha: it reads the slot, with y_0 = -0.0
+        assert call_bits(invert_krein, r, T, KreinConfig(alpha=-0.0)) == \
+            cold(invert_krein, r, T, KreinConfig(alpha=-0.0))
+
+    def test_returned_arrays_are_writable_copies(self):
+        T = 8
+        r = self.kernels(T, 74)[0]
+        verdict = characterize_response(r, T)
+        want = verdict_bits(verdict)
+        for array in (verdict.minor_values, verdict.pivot_values):
+            assert array.flags.writeable
+            array[:] = np.nan
+        assert verdict_bits(characterize_response(r, T)) == want
+        for fn in (invert_krein, invert_factorization,
+                   invert_gelfand_levitan):
+            b = fn(r, T)
+            want = b.tobytes()
+            assert b.flags.writeable
+            b[:] = np.nan
+            assert fn(r, T).tobytes() == want
+
+    def test_cached_arrays_are_read_only(self):
+        T = 8
+        r = self.kernels(T, 75)[0]
+        invert_factorization(r, T)
+        rec = inversion._slot[1]
+        for array in rec:
+            assert not array.flags.writeable
+
+    def test_threads_get_the_sequential_results(self):
+        T = 12
+        r = self.kernels(T, 76, count=8)
+        calls = [(fn, m) for m in range(len(r)) for fn in PUBLIC] * 6
+        random.Random(76).shuffle(calls)
+        want = {(fn, m): cold(fn, r[m], T) for fn, m in set(calls)}
+        # switch threads often, so they interleave inside the calls
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda c: call_bits(c[0], r[c[1]], T),
+                                    calls, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[c] for c in calls]
+
+    def test_interleaved_calls_match_cold_calls(self):
+        T = 10
+        r = self.kernels(T, 77, count=10)
+        want = {(fn, m): cold(fn, r[m], T) for fn in PUBLIC
+                for m in range(len(r))}
+        order = random.Random(77)
+        for _ in range(200):
+            fn, m = order.choice(PUBLIC), order.randrange(len(r))
+            assert call_bits(fn, r[m], T) == want[fn, m]
 
 
 # Agreement with the exact LDL^T of the same float kernel: relative to

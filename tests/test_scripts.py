@@ -66,7 +66,7 @@ def test_stage_times_roundtrip_pipeline(tmp_path):
     cells = run["cells"]
     assert [(c["T"], c["amplitude"]) for c in cells] == [(3, 0.1), (3, 0.3)]
     stages = {"response_kernel", "characterize_response",
-              "invert_factorization", "invert_krein",
+              "invert_factorization", "invert_krein", "shared",
               "roundtrip_report[25]", "roundtrip_report[500]"}
     for cell in cells:
         for key in ("stage_ms", "max_abs_err", "failed"):
@@ -77,3 +77,6 @@ def test_stage_times_roundtrip_pipeline(tmp_path):
         assert errors.pop("response_kernel") is None
         assert errors.pop("characterize_response") is None
         assert all(err <= 1e-6 for err in errors.values())
+        # shared runs the same solvers on the same kernels
+        assert errors["shared"] == max(errors["invert_factorization"],
+                                       errors["invert_krein"])
