@@ -6,8 +6,16 @@ entries from a fixed seed and times, one stage at a time.  The spectral
 pipeline (size N, the interval length):
 
     build_hamiltonian        H from b
-    eigenvalues              linalg.tridiag_eigenvalues on H
-    eigenvectors             eigen_decompose minus its eigenvalue stage
+    coarse_multisection      eigen_decompose's first stage: Sturm
+                             multisection to brackets of 1e-6 of the
+                             scale
+    twisted_refinement       the Rayleigh-quotient steps, one twisted
+                             factorization each
+    vector_pass              the rest of eigen_decompose: one more
+                             twisted pass at the final shifts, whose
+                             vectors it keeps, any bisection to
+                             roundoff, the Gram-Schmidt pass on
+                             clusters, rho and the checks
     kernel_from_spectral     r_0 .. r_{2N-1} from the spectral data
     invert_spectral          b-hat from the spectral data
 
@@ -26,7 +34,9 @@ The round-trip pipeline (size T, the horizon):
 
 Each stage time is the best of REPEATS calls per potential, and the
 cell reports the median over potentials in milliseconds (a report is
-timed once per cell).  The inversion functions share the recursion of
+timed once per cell).  The three eigen_decompose stages come from one
+call, timed by wrapping linalg._multisect and linalg._twisted for its
+duration.  The inversion functions share the recursion of
 the last kernel they saw, so that cache is cleared before every call:
 each single-stage time is a cold call, and shared shows what sharing
 saves.  Next to the times it records max |b-hat - b|:
@@ -75,8 +85,8 @@ from lattice_bc.spectral import (ConvergenceFailure,  # noqa: E402
 SEED = 20251018
 AMPLITUDES = (0.1, 0.3)
 REPEATS = 3
-STAGES = ("build_hamiltonian", "eigenvalues", "eigenvectors",
-          "kernel_from_spectral", "invert_spectral")
+STAGES = ("build_hamiltonian", "coarse_multisection", "twisted_refinement",
+          "vector_pass", "kernel_from_spectral", "invert_spectral")
 SOLVERS = {"invert_factorization": invert_factorization,
            "invert_krein": invert_krein}
 REPORT_SIZES = (25, 500)
@@ -103,6 +113,51 @@ def reference_ms():
     return (time.perf_counter() - start) * 1e3
 
 
+def eigen_stages(H):
+    """eigen_decompose(H) split into its three stages (ms), and its result.
+
+    The first linalg._multisect call is the coarse stage; the first
+    _CORRECTIONS linalg._twisted calls, made on the rows that take
+    Rayleigh-quotient steps, are the refinement; everything else in the
+    call is the vector pass.
+    """
+    spent = {"_multisect": [], "_twisted": []}
+    originals = {name: getattr(linalg, name) for name in spent}
+
+    def timed(name):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return originals[name](*args, **kwargs)
+            finally:
+                spent[name].append(time.perf_counter() - start)
+        return wrapper
+
+    for name in spent:
+        setattr(linalg, name, timed(name))
+    try:
+        start = time.perf_counter()
+        sd = eigen_decompose(H)
+        total = time.perf_counter() - start
+    finally:
+        for name, fn in originals.items():
+            setattr(linalg, name, fn)
+    coarse = spent["_multisect"][0]
+    steps = linalg._CORRECTIONS
+    refine = (sum(spent["_twisted"][:steps])
+              if len(spent["_twisted"]) > steps else 0.0)
+    return {"coarse_multisection": coarse * 1e3,
+            "twisted_refinement": refine * 1e3,
+            "vector_pass": (total - coarse - refine) * 1e3}, sd
+
+
+def best_stages_ms(H):
+    """Per stage, the best of REPEATS eigen_stages calls."""
+    runs = [eigen_stages(H) for _ in range(REPEATS)]
+    return ({stage: min(run[0][stage] for run in runs)
+             for stage in runs[0][0]}, runs[-1][1])
+
+
 def time_spectral_cell(rng, N, amplitude, instances):
     """Stage medians (ms), max |b-hat - b| and rejections for one cell."""
     times = {stage: [] for stage in STAGES}
@@ -112,15 +167,13 @@ def time_spectral_cell(rng, N, amplitude, instances):
         b = rng.uniform(-amplitude, amplitude, N)
         ms, H = best_ms(build_hamiltonian, b, N)
         times["build_hamiltonian"].append(ms)
-        ms_values, _ = best_ms(linalg.tridiag_eigenvalues, H.diag,
-                               np.ones(N - 1))
-        times["eigenvalues"].append(ms_values)
         try:
-            ms, sd = best_ms(eigen_decompose, H)
+            stage_ms, sd = best_stages_ms(H)
         except ConvergenceFailure:
             rejected += 1
             continue
-        times["eigenvectors"].append(ms - ms_values)
+        for stage, ms in stage_ms.items():
+            times[stage].append(ms)
         ms, _ = best_ms(kernel_from_spectral, sd, 2 * N - 1)
         times["kernel_from_spectral"].append(ms)
         ms, b_hat = best_ms(invert_spectral, sd)

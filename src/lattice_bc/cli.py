@@ -289,9 +289,10 @@ def build_parser():
     common.add_argument("--tol-det", type=float, default=1e-9,
                         help="unit-determinant admissibility slack")
     common.add_argument("--tol-pivot", type=float, default=1e-12,
-                        help="positivity floor for pivots")
+                        help="positivity floor for elimination pivots")
     common.add_argument("--tol-eig", type=float, default=1e-10,
-                        help="relative eigenpair residual target")
+                        help="largest eigenpair residual bound accepted, "
+                             "relative to |H|")
 
     parser = argparse.ArgumentParser(
         prog="lattice-bc",

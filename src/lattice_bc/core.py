@@ -18,9 +18,11 @@ class Tolerances:
     """Numerical thresholds shared across characterization and spectral code.
 
     det_tol   : admissibility slack for unit-determinant checks.
-    pivot_tol : positivity floor for elimination pivots and for the
-                first eigenvector component used in trace rescaling.
-    eig_tol   : relative residual target for eigenpairs.
+    pivot_tol : positivity floor for the elimination pivots of the
+                dynamical factorization.
+    eig_tol   : largest eigenpair residual bound accepted, relative to
+                |H| (|gamma_r| / |z| of the twisted factorization, or
+                the residual itself after a Gram-Schmidt pass).
     """
 
     det_tol: float = 1e-9

@@ -12,6 +12,8 @@ corresponding domain type.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 
@@ -153,16 +155,26 @@ def spectral_from_problem(pf):
 
 
 def write_text(text, path=None):
-    """Write to a path, or stdout when path is None or '-'."""
+    """Write to a path, or stdout when path is None or '-'.
+
+    A regular file is overwritten in place, then cut to length: truncating
+    it to zero first frees its blocks, which is slow where freed blocks
+    are discarded.  A crash mid-write leaves a partial file either way.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        with os.fdopen(fd, "wb", closefd=False) as fh:
+            fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _table_csv(values, what, corner, first):

@@ -1,18 +1,13 @@
-"""Tridiagonal linear algebra kernels.
+"""Tridiagonal eigensolver for Jacobi matrices, over the whole spectrum.
 
-Everything here is deterministic and dependency-free beyond numpy array
-arithmetic: a Sturm-bisection eigensolver with inverse iteration for
-Jacobi (tridiagonal, unit off-diagonal) matrices.  Both halves work on
-the whole spectrum at once.  Bisection is multisection (Lo, Philippe &
-Sameh, SIAM J. Sci. Stat. Comput. 8, 1987): one Sturm pass counts a
-depth-_MULTISECTION_DEPTH tree of nested midpoints for every
-eigenvalue, and a walk down the tree takes the same halvings that
-one-midpoint-per-pass bisection takes.  Inverse iteration runs over a
-stack of shifts, and the pivoted tridiagonal solve treats that stack
-row by row with the same arithmetic as a single right-hand side.  Every
-eigenvalue and eigenvector is therefore bit for bit what the
-one-at-a-time algorithm gives.  numpy.linalg is deliberately not used
-so that library results and test oracles stay independent.
+tridiag_eigensystem brackets every eigenvalue by multisection on Sturm
+counts (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987), then
+refines it by Rayleigh-quotient steps through a twisted factorization of
+T - lambda, which also gives its eigenvector as products of pivot ratios
+(Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Dhillon & Parlett,
+Linear Algebra Appl. 387, 2004).  Everything is deterministic numpy
+array arithmetic; numpy.linalg is deliberately not used so that library
+results and test oracles stay independent.
 """
 
 from __future__ import annotations
@@ -21,88 +16,79 @@ import numpy as np
 
 _EPS = np.finfo(float).eps
 
-# iteration caps of the eigensolver: bisection halvings per eigenvalue
-# and inverse-iteration sweeps per eigenvector
+# cap on the bisection halvings per eigenvalue and per call of _multisect
 _BISECTION_STEPS = 160
-_INVERSE_SWEEPS = 12
 # halvings taken from one Sturm pass: the pass counts 2**depth - 1
 # shifts per eigenvalue, so deeper trees trade shifts for Python steps
 _MULTISECTION_DEPTH = 4
+# bracket width, relative to the Gershgorin scale, at which bisection
+# hands an isolated eigenvalue to Rayleigh-quotient steps
+_BRACKET_WIDTH = 1e-6
+# Rayleigh-quotient steps per isolated eigenvalue; the step that the
+# vector pass at the final shift proposes must be at most _SETTLED
+# roundings of the scale, or the eigenvalue is bisected
+_CORRECTIONS = 3
+_SETTLED = 4.0
+# eigenvalues within _CLUSTER times the row-sum norm of a neighbour
+# are bisected to roundoff, and their vectors orthogonalized
+_CLUSTER = 1e-6
+# share of its length a vector must keep through the Gram-Schmidt pass
+# against its partners, or its row reports an infinite residual
+_KEPT = 1e-3
 
 
 class ConvergenceFailure(Exception):
-    """Eigen iteration did not reach the requested residual."""
+    """Eigendata failed a collision, finiteness or residual check."""
 
 
-def _sturm_counts(d, e2, xs, pivmin):
+def _sturm_counts(d, e2, xs):
     """Number of eigenvalues strictly below each shift in xs.
 
-    Counts negative pivots of the shifted LDL^T recurrence
-    q_1 = d_1 - x, q_i = d_i - x - e_{i-1}^2 / q_{i-1}, clamping tiny
-    pivots to -pivmin in the usual bisection-safe way.
+    Counts the pivots q_1 = d_1 - x, q_i = d_i - x - e2_{i-1} / q_{i-1}
+    with a set sign bit, unclamped: in IEEE arithmetic a zero pivot
+    makes the next one infinite and the one after finite again (Demmel,
+    Dhillon & Ren, Electron. Trans. Numer. Anal. 3, 1995).  Every e2
+    must be positive, or 0 / 0 can arise.
     """
     xs = np.asarray(xs, dtype=float)
     q = d[0] - xs
     tmp = np.empty_like(q)
-    tiny = np.empty(q.shape, dtype=bool)
+    negative = np.empty(q.shape, dtype=bool)
     count = np.zeros(q.shape, dtype=np.int64)
     # the buffers are reused in place; the arithmetic stays that of
     # q = d_i - x - e2 / q, elementwise
-    for i in range(d.size):
-        if i:
-            np.divide(e2[i - 1], q, out=tmp)
-            np.subtract(d[i], xs, out=q)
-            q -= tmp
-        np.abs(q, out=tmp)
-        np.less_equal(tmp, pivmin, out=tiny)
-        np.copyto(q, -pivmin, where=tiny)
-        np.less(q, 0.0, out=tiny)
-        count += tiny
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(d.size):
+            if i:
+                np.divide(e2[i - 1], q, out=tmp)
+                np.subtract(d[i], xs, out=q)
+                q -= tmp
+            np.signbit(q, out=negative)
+            count += negative
     return count
 
 
-def _converged(lower, upper, pivmin):
-    tol = _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin
-    return bool(np.all(upper - lower <= tol))
+def _multisect(d, e2, lower, upper, target, pivmin, width=None):
+    """Bisect the brackets [lower, upper] of eigenvalues number target.
 
-
-def tridiag_eigenvalues(d, e):
-    """All eigenvalues, ascending, of the symmetric tridiagonal (d, e).
-
-    Bisection on Sturm sign counts, bracketed by Gershgorin bounds and
-    vectorized over the spectrum, until every interval width reaches
-    roundoff scale.  Each Sturm pass is a multisection: it counts the
-    full tree of _MULTISECTION_DEPTH nested midpoints 0.5 * (lower +
-    upper) of every interval, and the walk down that tree then applies
-    the halvings one level at a time, with the stopping test and the
-    _BISECTION_STEPS cap checked before each.  So the path and the
-    result are those of bisection with one midpoint per pass.
+    Each Sturm pass counts the full tree of _MULTISECTION_DEPTH nested
+    midpoints 0.5 * (lower + upper) of every bracket, and the walk down
+    that tree then applies the halvings one level at a time, with the
+    stopping test and the _BISECTION_STEPS cap checked before each.
+    Stops once every bracket is at most width wide, or at roundoff
+    scale when width is None.
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = d.size
-    if n == 0:
-        return np.zeros(0)
-    if e.shape != (n - 1,):
-        raise ValueError("off-diagonal length mismatch")
-    if n == 1:
-        return d.copy()
-    e2 = e * e
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    scale = max(abs(lo), abs(hi), 1.0)
-    lo -= 2.0 * _EPS * scale
-    hi += 2.0 * _EPS * scale
-    pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * scale)
-    lower = np.full(n, lo)
-    upper = np.full(n, hi)
-    target = np.arange(1, n + 1)
-    cols = np.arange(n)
+    def settled():
+        tol = width if width is not None else (
+            _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin)
+        return bool(np.all(upper - lower <= tol))
+
+    # a zero e_i^2 (a split, or an underflowed square) becomes the
+    # smallest normal number, so that 0 / 0 cannot arise in the count
+    e2 = np.maximum(e2, np.finfo(float).tiny)
+    cols = np.arange(lower.size)
     steps = 0
-    while steps < _BISECTION_STEPS and not _converged(lower, upper, pivmin):
+    while steps < _BISECTION_STEPS and not settled():
         # level j holds 2**j nodes per eigenvalue; node p's children are
         # p (count reached the target, keep the lower half) and p + 2**j
         level_lo, level_hi = lower[None], upper[None]
@@ -113,11 +99,10 @@ def tridiag_eigenvalues(d, e):
             level_lo = np.concatenate((level_lo, mid))
             level_hi = np.concatenate((mid, level_hi))
         tree = np.concatenate(mids)
-        counts = _sturm_counts(d, e2, tree.ravel(), pivmin).reshape(tree.shape)
-        node = np.zeros(n, dtype=np.int64)
+        counts = _sturm_counts(d, e2, tree.ravel()).reshape(tree.shape)
+        node = np.zeros(lower.size, dtype=np.int64)
         for level in range(_MULTISECTION_DEPTH):
-            if level and (steps == _BISECTION_STEPS
-                          or _converged(lower, upper, pivmin)):
+            if level and (steps == _BISECTION_STEPS or settled()):
                 break
             row = node + (2 ** level - 1)
             mid = tree[row, cols]
@@ -126,127 +111,139 @@ def tridiag_eigenvalues(d, e):
             lower = np.where(take_upper, lower, mid)
             node += ~take_upper * 2 ** level
             steps += 1
-    return 0.5 * (lower + upper)
+    return lower, upper
 
 
-def tridiag_solve(d, e, rhs, pivmin):
-    """Solve (tridiagonal) T x = rhs with partial pivoting and fill-in.
+def _twisted(d, e, e2, lam, pivmin):
+    """Twisted factorizations of T - lam_k for a stack of shifts.
 
-    d and rhs are either one system (shape (n,)) or a stack of K
-    systems sharing the off-diagonal e (shape (K, n)); a single system
-    is the K = 1 stack.  Each row takes its own pivoting branch, and
-    its arithmetic is exactly that of solving it alone.  Zero pivots
-    are perturbed to pivmin so the solve always returns; inverse
-    iteration relies on that behaviour near exact shifts.
+    With a_i = d_i - lam_k, the stationary pivots D_i = a_i - e_{i-1}^2 /
+    D_{i-1} run down from the top, the progressive pivots
+    R_i = a_i - e_i^2 / R_{i+1} up from the bottom, and
+    gamma_i = D_i + R_i - a_i.  At the twist r = argmin |gamma_i|, the
+    vector z with z_r = 1, z_i = -e_i z_{i+1} / D_i above r and
+    z_i = -e_{i-1} z_{i-1} / R_i below it, solves
+    (T - lam_k) z = gamma_r e_r.  Returns the Rayleigh-quotient step
+    gamma_r / |z|^2, the unit vectors z / |z| as the rows of a (K, n)
+    array, and the residual bounds |gamma_r| / |z|.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    single = rhs.ndim == 1
-    # row i of the transposed (n, K) tables holds equation i of every
-    # system, so each elimination step reads contiguous memory
-    diag = np.array(np.atleast_2d(d).T, dtype=float, order="C")
-    x = np.array(np.atleast_2d(rhs).T, order="C")
-    lower = np.asarray(e, dtype=float)
-    n = diag.shape[0]
-    upper = np.repeat(lower[:, None], diag.shape[1], axis=1)
-    upper2 = np.zeros((max(n - 2, 0), diag.shape[1]))
-    # each step either keeps row i as the pivot row or swaps it with
-    # row i + 1, then eliminates; the product that only the swap uses
-    # is also formed, and may overflow, on rows that keep
+    n = d.size
+    # row i of the (n, K) tables holds site i for every shift, so each
+    # step reads contiguous memory; one loop runs both recurrences, the
+    # progressive one on reversed rows, and clamps pivots within pivmin
+    # of zero to -pivmin
+    a = d[:, None] - lam
+    rows = np.stack((a, a[::-1]), axis=1)
+    e2s = np.stack((e2, e2[::-1]), axis=1)[:, :, None]
+    pivots = np.empty_like(rows)
+    tmp = np.empty(rows.shape[1:])
+    tiny = np.empty(rows.shape[1:], dtype=bool)
+    pivots[0] = rows[0]
+    for i in range(n):
+        if i:
+            np.divide(e2s[i - 1], pivots[i - 1], out=tmp)
+            np.subtract(rows[i], tmp, out=pivots[i])
+        np.abs(pivots[i], out=tmp)
+        np.less_equal(tmp, pivmin, out=tiny)
+        np.copyto(pivots[i], -pivmin, where=tiny)
+    top = pivots[:, 0]
+    bottom = pivots[::-1, 1]
+    gamma = top + bottom - a
+    twist = np.argmin(np.abs(gamma), axis=0)
+    gamma = gamma[twist, np.arange(lam.size)]
+    # ratios z_i / z_{i+1} above the twist and z_i / z_{i-1} below it;
+    # ones elsewhere, so two running products meet at z_r = 1
+    site = np.arange(n)[:, None]
+    up = np.ones_like(a)
+    up[:-1] = -e[:, None] / top[:-1]
+    up[site >= twist] = 1.0
+    down = np.ones_like(a)
+    down[1:] = -e[:, None] / bottom[1:]
+    down[site <= twist] = 1.0
+    # a shift far from every eigenvalue may overflow; its row then
+    # fails the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            d_i, d_next, u_i = diag[i], diag[i + 1], upper[i]
-            x_i, x_next = x[i], x[i + 1]
-            size = np.abs(d_i)
-            keep = size >= np.abs(lower[i])
-            pivot = np.where(keep, np.where(size <= pivmin, pivmin, d_i),
-                             lower[i])
-            fact = np.where(keep, lower[i], d_i) / pivot
-            top_u = np.where(keep, u_i, d_next)
-            diag[i + 1] = np.where(keep, d_next, u_i) - fact * top_u
-            diag[i] = pivot
-            upper[i] = top_u
-            if i < n - 2:
-                u_far = upper[i + 1]
-                upper2[i] = np.where(keep, 0.0, u_far)
-                upper[i + 1] = np.where(keep, u_far, -fact * u_far)
-            top_x = np.where(keep, x_i, x_next)
-            x[i + 1] = np.where(keep, x_next, x_i) - fact * top_x
-            x[i] = top_x
-    np.copyto(diag[n - 1], pivmin, where=np.abs(diag[n - 1]) <= pivmin)
-    x[n - 1] /= diag[n - 1]
-    if n >= 2:
-        x[n - 2] = (x[n - 2] - upper[n - 2] * x[n - 1]) / diag[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - upper[i] * x[i + 1] - upper2[i] * x[i + 2]) / diag[i]
-    return x[:, 0] if single else np.ascontiguousarray(x.T)
+        z = np.cumprod(up[::-1], axis=0)[::-1] * np.cumprod(down, axis=0)
+        z = np.ascontiguousarray(z.T)
+        norm2 = np.einsum("kn,kn->k", z, z)
+        norm = np.sqrt(norm2)
+        return gamma / norm2, z / norm[:, None], np.abs(gamma) / norm
 
 
-def _tridiag_apply(d, e, v):
-    out = d * v
-    out[..., :-1] += e * v[..., 1:]
-    out[..., 1:] += e * v[..., :-1]
-    return out
+def tridiag_eigensystem(d, e):
+    """Eigenvalues, unit eigenvectors and residuals of the tridiagonal (d, e).
 
-
-def _row_norms(rows):
-    # one 1-D dot per contiguous row: a batched reduction, or BLAS on a
-    # strided row, may sum in another order
-    return np.array([np.sqrt(row @ row) for row in rows])
-
-
-def _project_out(rows, ortho):
-    for u in ortho:
-        rows -= np.array([u @ row for row in rows])[:, None] * u
-
-
-def tridiag_eigenvector(d, e, lam, ortho=(), rel_tol=1e-10):
-    """Unit eigenvectors of (d, e) for a stack of precomputed eigenvalues.
-
-    lam is a 1-D array of K shifts.  Inverse iteration runs on all of
-    them together from a deterministic start, each iterate
-    re-orthogonalized every sweep against the supplied partners (rows
-    of ortho, applied in order to every shift).  A row stops changing
-    once its relative residual reaches rel_tol.  Returns the (K, n)
-    vectors and a boolean mask of the rows that converged; each row is
-    exactly what inverse iteration on that shift alone returns.
+    Returns the eigenvalues in ascending order, the matching unit
+    eigenvectors as the rows of an (n, n) array, and for each row a
+    bound on |T v - lambda v|: |gamma_r| / |z| from the twisted
+    factorization that gave the vector, or the residual itself for a
+    vector that took a Gram-Schmidt pass.  Eigenvalues within
+    _CLUSTER |T| of a neighbour are bisected to roundoff, and each
+    vector is orthogonalized against those of the lower eigenvalues
+    within _CLUSTER |T| of its own; a vector that loses all but
+    _KEPT of its length to them, as the second of an exactly repeated
+    eigenvalue does, reports an infinite residual.  Nothing here raises
+    on convergence: callers judge the residuals.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
-    lam = np.asarray(lam, dtype=float)
     n = d.size
-    norm_t = float(np.max(np.abs(d) + np.concatenate(([0.0], np.abs(e)))
-                          + np.concatenate((np.abs(e), [0.0])))) if n else 0.0
-    norm_t = max(norm_t, 1.0)
-    pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * norm_t)
-    vectors = np.full((lam.size, n), 1.0 / np.sqrt(n))
-    done = np.zeros(lam.size, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for sweep in range(_INVERSE_SWEEPS):
-            active = np.flatnonzero(~done)
-            if active.size == 0:
-                break
-            shift = lam[active]
-            v = vectors[active]
-            _project_out(v, ortho)
-            nv = _row_norms(v)
-            lost = nv <= 0.0
-            v[lost] = 0.0
-            v[lost, sweep % n] = 1.0
-            nv[lost] = 1.0
-            v /= nv[:, None]
-            w = tridiag_solve(d - shift[:, None], e, v, pivmin)
-            nw = _row_norms(w)
-            v = w / nw[:, None]
-            _project_out(v, ortho)
-            nv = _row_norms(v)
-            v /= nv[:, None]
-            residual = _tridiag_apply(d, e, v) - shift[:, None] * v
-            ok = _row_norms(residual) <= rel_tol * norm_t
-            # a blown-up solve, or an iterate swallowed by its cluster
-            # partners, restarts from the next unit vector
-            restart = ~np.isfinite(nw) | (nw == 0.0) | (nv <= 1e-3)
-            v[restart] = 0.0
-            v[restart, (sweep + 1) % n] = 1.0
-            vectors[active] = v
-            done[active] = ok & ~restart
-    return vectors, done
+    if e.shape != (n - 1,):
+        raise ValueError("off-diagonal length mismatch")
+    if n == 1:
+        return d.copy(), np.ones((1, 1)), np.zeros(1)
+    e2 = e * e
+    radius = np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))
+    lo = float(np.min(d - radius))
+    hi = float(np.max(d + radius))
+    scale = max(abs(lo), abs(hi), 1.0)
+    lo -= 2.0 * _EPS * scale
+    hi += 2.0 * _EPS * scale
+    pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * scale)
+    cluster_tol = _CLUSTER * max(float(np.max(np.abs(d) + radius)), 1.0)
+    target = np.arange(1, n + 1)
+    lower, upper = _multisect(d, e2, np.full(n, lo), np.full(n, hi), target,
+                              pivmin, _BRACKET_WIDTH * scale)
+    lam = 0.5 * (lower + upper)
+    vectors = np.empty((n, n))
+    residual = np.empty(n)
+    # rows whose bracket comes within cluster_tol of a neighbour's
+    near = lower[1:] - upper[:-1] <= cluster_tol
+    bisect = np.append(near, False) | np.append(False, near)
+    free = np.flatnonzero(~bisect)
+    if free.size:
+        shift = lam[free]
+        for _ in range(_CORRECTIONS):
+            step = _twisted(d, e, e2, shift, pivmin)[0]
+            moved = shift + step
+            inside = (moved >= lower[free]) & (moved <= upper[free])
+            bisect[free[~inside]] = True
+            shift = np.where(inside, moved, shift)
+        # the vectors come from one more pass at the final shift, whose
+        # own step shows whether the shift has settled
+        step, vectors[free], residual[free] = _twisted(d, e, e2, shift, pivmin)
+        bisect[free[np.abs(step) > _SETTLED * _EPS * scale]] = True
+        lam[free] = shift
+    rest = np.flatnonzero(bisect)
+    if rest.size:
+        lower, upper = _multisect(d, e2, lower[rest], upper[rest],
+                                  target[rest], pivmin)
+        lam[rest] = 0.5 * (lower + upper)
+        _, vectors[rest], residual[rest] = _twisted(d, e, e2, lam[rest],
+                                                    pivmin)
+    # partners of k: the lower eigenvalues within cluster_tol of lam[k]
+    first = np.searchsorted(lam, lam - cluster_tol)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in np.flatnonzero(first < np.arange(n)):
+            v = vectors[k]
+            for u in vectors[first[k]:k]:
+                v -= (u @ v) * u
+            length = np.sqrt(v @ v)
+            v /= length
+            r = (d - lam[k]) * v
+            r[:-1] += e * v[1:]
+            r[1:] += e * v[:-1]
+            # a vector that its partners all but cancel has lost its
+            # orthogonality to them along with its length
+            residual[k] = np.sqrt(r @ r) if length > _KEPT else np.inf
+    return lam, vectors, residual

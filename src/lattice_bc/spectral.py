@@ -8,6 +8,8 @@ mass one) that determines the potential.  The bridge to boundary data:
 the response kernel of the half-line problem agrees with the spectral
 moment sequence r_s = sum_k T_{s+1}(lambda_k)/rho_k for s <= 2N-1, and
 at s = 2N the Dirichlet wall reflection contributes an extra +1.
+eigen_decompose takes each rho_k from one twisted factorization, and
+invert_spectral rebuilds b by Lanczos from the weights 1 / rho_k.
 """
 
 from __future__ import annotations
@@ -134,55 +136,37 @@ def build_hamiltonian(b, N):
 
 
 def eigen_decompose(H, tol=Tolerances()):
-    """Full eigendata of the Jacobi matrix via bisection and inverse iteration.
+    """Full eigendata of the Jacobi matrix, one twisted pass per eigenvalue.
 
-    Eigenvalues come from Sturm-count bisection; eigenvectors from
-    inverse iteration, orthogonalized within near-degenerate clusters.
-    Both run over the whole spectrum at once and give bit for bit the
-    one-eigenvalue-at-a-time results; failures are raised for the
-    lowest failing eigenvalue index, as a one-at-a-time loop would.
-    Each vector is rescaled to first component one, which requires
-    |v_1| > pivot_tol; localized states at large size or strong
-    potential legitimately have exponentially small first components,
-    so callers probing that regime should relax pivot_tol.  Raises
-    ConvergenceFailure on residual stall, eigenvalue collision, or an
-    unusably small first component.
+    linalg.tridiag_eigensystem gives the eigenvalues and each vector z
+    as products of pivot ratios, so the tiny first component of a state
+    localized far from the boundary keeps its relative accuracy;
+    rho_k = sum_n (z_n / z_1)^2.  Raises
+    ConvergenceFailure, naming the lowest failing eigenvalue index, on
+    an eigenvalue collision, a non-finite value, or a residual bound
+    above eig_tol * |H|.
     """
     if not isinstance(H, Hamiltonian):
         raise ValueError("H must be a Hamiltonian")
     if not isinstance(tol, Tolerances):
         raise ValueError("tol must be a Tolerances instance")
     N = H.size
-    d = H.diag
-    e = np.ones(N - 1)
-    lam = linalg.tridiag_eigenvalues(d, e)
     norm_h = max(H.norm_bound(), 1.0)
-    if np.any(np.diff(lam) <= 0.0):
-        raise ConvergenceFailure("eigenvalues collide at working precision")
-    cluster_tol = 1e-6 * norm_h
-    # partners of k: the lower eigenvalues within cluster_tol of lam[k]
-    close = np.tril(lam[:, None] - lam[None, :] <= cluster_tol, -1)
-    # eigenvalues without partners take one stacked inverse iteration;
-    # the others follow in ascending order, each against its partners'
-    # finished vectors
-    free = ~close.any(axis=1)
-    raw = np.empty((N, N))
-    converged = np.empty(N, dtype=bool)
-    raw[free], converged[free] = linalg.tridiag_eigenvector(
-        d, e, lam[free], rel_tol=tol.eig_tol)
-    for k in range(N):
-        if not free[k]:
-            raw[k:k + 1], converged[k:k + 1] = linalg.tridiag_eigenvector(
-                d, e, lam[k:k + 1], ortho=raw[close[k]], rel_tol=tol.eig_tol)
-        if not converged[k]:
-            raise ConvergenceFailure(
-                f"inverse iteration stalled at eigenvalue {lam[k]!r}")
-        if np.abs(raw[k, 0]) <= tol.pivot_tol:
-            raise ConvergenceFailure(
-                f"first eigenvector component below pivot tolerance "
-                f"at eigenvalue index {k}")
-    vectors = raw / raw[:, :1]
-    rho = np.einsum("kn,kn->k", vectors, vectors)
+    lam, unit, residual = linalg.tridiag_eigensystem(H.diag, np.ones(N - 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vectors = unit / unit[:, :1]
+        rho = np.einsum("kn,kn->k", vectors, vectors)
+    collide = np.append(False, lam[1:] <= lam[:-1])
+    finite = np.isfinite(lam) & np.isfinite(rho)
+    for k in np.flatnonzero(collide | ~finite
+                            | ~(residual <= tol.eig_tol * norm_h))[:1]:
+        if collide[k]:
+            reason = "eigenvalues collide at working precision"
+        elif not finite[k]:
+            reason = "non-finite eigendata"
+        else:
+            reason = "eigenpair residual above eig_tol"
+        raise ConvergenceFailure(f"{reason} at eigenvalue index {k}")
     return SpectralData(eigenvalues=lam, norming=rho, eigenvectors=vectors)
 
 

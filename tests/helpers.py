@@ -6,15 +6,15 @@ wave evolution, brute-force convolution, cofactor-expansion
 determinants, the reversed connecting matrix assembled entrywise, its
 exact rational LDL^T and the Krein systems solved exactly, and the
 admissible-kernel constructor that forces even entries through the
-unit-determinant condition, and the one-eigenvalue-at-a-time
-eigensolver (bisection one midpoint per Sturm pass, one scalar
-inverse iteration per eigenvalue) that the batched library eigensolver
-must reproduce bit for bit, and the one-instance-at-a-time round-trip
-loop that the blocked round-trip report must reproduce byte for
-byte.  numpy.linalg appears only here and never inside the library,
-so cross-checks are genuinely two-route.
+unit-determinant condition, the eigenvalues and norming constants of
+a Jacobi matrix one eigenvalue at a time by Newton's method in
+decimal arithmetic, and the one-instance-at-a-time round-trip loop
+that the blocked round-trip report must reproduce byte for byte.
+numpy.linalg appears only here and never inside the library, so
+cross-checks are genuinely two-route.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,6 @@ from lattice_bc.bc_ops import response_kernel
 from lattice_bc.core import Tolerances
 from lattice_bc.inversion import (InversionError, characterize_response,
                                   invert_factorization, invert_krein)
-from lattice_bc.linalg import ConvergenceFailure
 
 
 def brute_convolve(a, b):
@@ -243,196 +242,49 @@ def response_toeplitz(r, T):
     return M
 
 
-# The eigensolver as it stood before the spectrum was batched, kept
-# verbatim (iteration caps inlined): the reference for bit identity.
+def decimal_eigendata(diag, guesses, digits=50):
+    """Eigenvalues and norming constants of the unit-coupled Jacobi
+    matrix with diagonal diag, one eigenvalue at a time in decimal.
 
-_EPS = np.finfo(float).eps
-
-
-def _reference_sturm_counts(d, e2, xs, pivmin):
-    """Number of eigenvalues strictly below each shift in xs.
-
-    Counts negative pivots of the shifted LDL^T recurrence
-    q_1 = d_1 - x, q_i = d_i - x - e_{i-1}^2 / q_{i-1}, clamping tiny
-    pivots to -pivmin in the usual bisection-safe way.
+    Starting from each float guess, Newton's method runs on
+    phi_{N+1}(lambda), where phi_0 = 0, phi_1 = 1 and
+    phi_{n+1} = (lambda - diag_n) phi_n - phi_{n-1}, with the derivative
+    carried along, at the given number of significant digits; then
+    rho = phi_1^2 + ... + phi_N^2.  Returns both rounded to floats.
+    Raises AssertionError if an iteration does not settle, moves
+    further than 1e-9 from its guess, or the roots are not strictly
+    increasing.
     """
-    xs = np.asarray(xs, dtype=float)
-    q = d[0] - xs
-    q = np.where(np.abs(q) <= pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, d.size):
-        q = d[i] - xs - e2[i - 1] / q
-        q = np.where(np.abs(q) <= pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
-
-
-def reference_eigenvalues(d, e):
-    """All eigenvalues, ascending, of the symmetric tridiagonal (d, e).
-
-    Bisection on Sturm sign counts: bracketed by Gershgorin bounds,
-    every eigenvalue is halved independently (vectorized over the
-    spectrum) until the interval width reaches roundoff scale.
-    """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = d.size
-    if n == 0:
-        return np.zeros(0)
-    if e.shape != (n - 1,):
-        raise ValueError("off-diagonal length mismatch")
-    if n == 1:
-        return d.copy()
-    e2 = e * e
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    scale = max(abs(lo), abs(hi), 1.0)
-    lo -= 2.0 * _EPS * scale
-    hi += 2.0 * _EPS * scale
-    pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * scale)
-    lower = np.full(n, lo)
-    upper = np.full(n, hi)
-    target = np.arange(1, n + 1)
-    for _ in range(160):
-        width = upper - lower
-        tol = _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin
-        if np.all(width <= tol):
-            break
-        mid = 0.5 * (lower + upper)
-        below = _reference_sturm_counts(d, e2, mid, pivmin)
-        take_upper = below >= target
-        upper = np.where(take_upper, mid, upper)
-        lower = np.where(take_upper, lower, mid)
-    return 0.5 * (lower + upper)
-
-
-def reference_solve(d, e, rhs, pivmin):
-    """Solve (tridiagonal) T x = rhs with partial pivoting and fill-in.
-
-    Zero pivots are perturbed to pivmin so the solve always returns;
-    inverse iteration relies on that behaviour near exact shifts.
-    """
-    n = d.size
-    diag = np.asarray(d, dtype=float).copy()
-    lower = np.asarray(e, dtype=float).copy()
-    upper = np.asarray(e, dtype=float).copy()
-    upper2 = np.zeros(max(n - 2, 0))
-    x = np.asarray(rhs, dtype=float).copy()
-    for i in range(n - 1):
-        if np.abs(diag[i]) >= np.abs(lower[i]):
-            if np.abs(diag[i]) <= pivmin:
-                diag[i] = pivmin
-            fact = lower[i] / diag[i]
-            diag[i + 1] -= fact * upper[i]
-            x[i + 1] -= fact * x[i]
-        else:
-            fact = diag[i] / lower[i]
-            diag[i] = lower[i]
-            tmp_diag = diag[i + 1]
-            diag[i + 1] = upper[i] - fact * tmp_diag
-            upper[i] = tmp_diag
-            if i < n - 2:
-                upper2[i] = upper[i + 1]
-                upper[i + 1] = -fact * upper[i + 1]
-            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
-    if np.abs(diag[n - 1]) <= pivmin:
-        diag[n - 1] = pivmin
-    x[n - 1] /= diag[n - 1]
-    if n >= 2:
-        x[n - 2] = (x[n - 2] - upper[n - 2] * x[n - 1]) / diag[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - upper[i] * x[i + 1] - upper2[i] * x[i + 2]) / diag[i]
-    return x
-
-
-def _reference_apply(d, e, v):
-    out = d * v
-    out[:-1] += e * v[1:]
-    out[1:] += e * v[:-1]
-    return out
-
-
-def reference_eigenvector(d, e, lam, ortho=(), rel_tol=1e-10):
-    """Unit eigenvector of (d, e) for the precomputed eigenvalue lam.
-
-    Inverse iteration from a deterministic start, re-orthogonalized
-    against the supplied cluster partners each sweep.  Raises
-    ConvergenceFailure if the relative residual never reaches rel_tol.
-    """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = d.size
-    norm_t = float(np.max(np.abs(d) + np.concatenate(([0.0], np.abs(e)))
-                          + np.concatenate((np.abs(e), [0.0])))) if n else 0.0
-    norm_t = max(norm_t, 1.0)
-    pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * norm_t)
-    shifted = d - lam
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for sweep in range(12):
-        for u in ortho:
-            v -= (u @ v) * u
-        nv = float(np.sqrt(v @ v))
-        if nv <= 0.0:
-            v = np.zeros(n)
-            v[sweep % n] = 1.0
-            nv = 1.0
-        v /= nv
-        w = reference_solve(shifted, e, v, pivmin)
-        nw = float(np.sqrt(w @ w))
-        if not np.isfinite(nw) or nw == 0.0:
-            v = np.zeros(n)
-            v[(sweep + 1) % n] = 1.0
-            continue
-        v = w / nw
-        for u in ortho:
-            v -= (u @ v) * u
-        nv = float(np.sqrt(v @ v))
-        if nv <= 1e-3:
-            # cluster partners swallowed the iterate; restart elsewhere
-            v = np.zeros(n)
-            v[(sweep + 1) % n] = 1.0
-            continue
-        v /= nv
-        residual = _reference_apply(d, e, v) - lam * v
-        if float(np.sqrt(residual @ residual)) <= rel_tol * norm_t:
-            return v
-    raise ConvergenceFailure(
-        f"inverse iteration stalled at eigenvalue {lam!r}")
-
-
-def reference_eigendata(d, e, tol=Tolerances()):
-    """(eigenvalues, norming, rescaled eigenvectors) of (d, e), one
-    eigenvalue at a time; eigen_decompose's loop on a general
-    off-diagonal.  Raises ConvergenceFailure where and as it does."""
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    N = d.size
-    lam = reference_eigenvalues(d, e)
-    radius = np.zeros(N)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    norm_h = max(float(np.max(np.abs(d) + radius)), 1.0)
-    if np.any(np.diff(lam) <= 0.0):
-        raise ConvergenceFailure("eigenvalues collide at working precision")
-    cluster_tol = 1e-6 * norm_h
-    vectors = np.empty((N, N))
-    raw = []
-    for k in range(N):
-        partners = [raw[j] for j in range(k)
-                    if lam[k] - lam[j] <= cluster_tol]
-        v = reference_eigenvector(d, e, lam[k], ortho=partners,
-                                  rel_tol=tol.eig_tol)
-        raw.append(v)
-        if np.abs(v[0]) <= tol.pivot_tol:
-            raise ConvergenceFailure(
-                f"first eigenvector component below pivot tolerance "
-                f"at eigenvalue index {k}")
-        vectors[k] = v / v[0]
-    rho = np.einsum("kn,kn->k", vectors, vectors)
-    return lam, rho, vectors
+    entries = [Decimal(float(x)) for x in diag]
+    lam_out, rho_out = [], []
+    with localcontext() as ctx:
+        ctx.prec = digits
+        settled = Decimal(10) ** (12 - digits)
+        for guess in guesses:
+            lam = Decimal(float(guess))
+            for _ in range(60):
+                p_prev, p, dp_prev, dp = (Decimal(0), Decimal(1),
+                                          Decimal(0), Decimal(0))
+                for entry in entries:
+                    a = lam - entry
+                    p_prev, p, dp_prev, dp = (p, a * p - p_prev, dp,
+                                              p + a * dp - dp_prev)
+                step = p / dp
+                lam -= step
+                if abs(step) <= settled * (1 + abs(lam)):
+                    break
+            else:
+                raise AssertionError("decimal Newton did not settle")
+            assert abs(lam - Decimal(float(guess))) <= Decimal("1e-9")
+            p_prev, p, rho = Decimal(0), Decimal(1), Decimal(0)
+            for entry in entries:
+                rho += p * p
+                p_prev, p = p, (lam - entry) * p - p_prev
+            lam_out.append(lam)
+            rho_out.append(rho)
+    assert all(x < y for x, y in zip(lam_out, lam_out[1:]))
+    return (np.array([float(x) for x in lam_out]),
+            np.array([float(x) for x in rho_out]))
 
 
 def _reference_roundtrip_method(invert, b):

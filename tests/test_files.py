@@ -111,3 +111,44 @@ class TestCsv:
         assert lines[0] == "i,1,2"
         assert lines[1] == "1,1,0"
         assert lines[2] == "2,0,1"
+
+
+class TestWriteText:
+    def test_overwrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"x" * 5000 + b"\n")
+        files.write_text('{"a": 1}', str(path))
+        assert path.read_bytes() == b'{"a": 1}\n'
+        # a longer rewrite after a shorter one keeps nothing stale
+        files.write_text("y" * 20 + "\n", str(path))
+        assert path.read_bytes() == b"y" * 20 + b"\n"
+
+    def test_creates_a_missing_file(self, tmp_path):
+        path = tmp_path / "new.csv"
+        files.write_text("n,0\n0,1", str(path))
+        assert path.read_bytes() == b"n,0\n0,1\n"
+
+    def test_non_ascii_text_is_utf8(self, tmp_path):
+        path = tmp_path / "note.json"
+        files.write_text('{"note": "ρ_k"}\n', str(path))
+        assert path.read_bytes() == '{"note": "ρ_k"}\n'.encode("utf-8")
+
+    def test_dev_null(self):
+        files.write_text("ignored", "/dev/null")
+
+    def test_errors_name_the_path(self, tmp_path):
+        with pytest.raises(IsADirectoryError, match=r"\[Errno 21\]"):
+            files.write_text("x", str(tmp_path))
+        missing = tmp_path / "nope" / "out.json"
+        with pytest.raises(FileNotFoundError, match=r"\[Errno 2\]"):
+            files.write_text("x", str(missing))
+
+    def test_roundtrip_report_bytes(self, tmp_path):
+        from lattice_bc.cli import main, roundtrip_report
+        path = tmp_path / "report.json"
+        path.write_text("stale " * 4000)
+        argv = ["roundtrip", "--instances", "7", "--horizon", "6",
+                "--seed", "3", "--output", str(path)]
+        assert main(argv) == 0
+        expected = files.dumps_json(roundtrip_report(3, 7, 6, 1.0)) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -48,12 +48,12 @@ def test_stage_times_records_every_stage(tmp_path):
     assert [(c["N"], c["amplitude"]) for c in cells] == [(4, 0.1), (4, 0.3)]
     for cell in cells:
         assert cell["rejected"] == 0
-        # eigenvectors is a difference of two times, so only its
+        # vector_pass is a difference of two times, so only its
         # presence is checked
         assert all(isinstance(ms, float) for ms in cell["stage_ms"].values())
         assert set(cell["stage_ms"]) == {
-            "build_hamiltonian", "eigenvalues", "eigenvectors",
-            "kernel_from_spectral", "invert_spectral"}
+            "build_hamiltonian", "coarse_multisection", "twisted_refinement",
+            "vector_pass", "kernel_from_spectral", "invert_spectral"}
         assert cell["max_abs_err"] <= 1e-6
 
 
