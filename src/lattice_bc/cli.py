@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 unreadable input or violated precondition,
 3 inadmissible response data, 4 numerical degeneracy (vanishing Krein
-trace, eigen iteration failure).  All randomness flows through numpy's
-default_rng (PCG64) seeded from --seed, and floats are serialized with
-17 significant digits, so identical invocations produce identical
-bytes.
+trace, eigendata that fail their collision, finiteness or residual
+check).  All randomness flows through numpy's default_rng (PCG64)
+seeded from --seed, and floats are serialized with 17 significant
+digits, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations

@@ -83,11 +83,23 @@ def dumps_json(obj, indent=0):
     raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _is_number(value):
+    # bool is an int subclass, a string is never read as a number, and
+    # an integer beyond the float range has no float value
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, float) or (
+        isinstance(value, int) and abs(value) <= sys.float_info.max)
+
+
 def _validate_payload(kind, values):
     if kind == "spectral":
+        if not (isinstance(values, list) and values
+                and all(isinstance(pair, list) and len(pair) == 2
+                        and all(map(_is_number, pair)) for pair in values)):
+            raise ValueError(
+                "spectral values must be [lambda, rho] pairs of numbers")
         arr = np.asarray(values, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-            raise ValueError("spectral values must be [lambda, rho] pairs")
         if not np.all(np.isfinite(arr)):
             raise ValueError("spectral values contain non-finite entries")
         sd = SpectralData(eigenvalues=arr[:, 0], norming=arr[:, 1])
@@ -96,6 +108,8 @@ def _validate_payload(kind, values):
             raise ValueError(
                 f"spectral weights must have unit mass (got {mass!r})")
         return arr
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise ValueError(f"{kind} values must be a list of numbers")
     arr = as_float_array(values, f"{kind} values")
     if arr.size < 1:
         raise ValueError(f"{kind} values must be nonempty")

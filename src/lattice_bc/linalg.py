@@ -8,6 +8,17 @@ T - lambda, which also gives its eigenvector as products of pivot ratios
 Linear Algebra Appl. 387, 2004).  Everything is deterministic numpy
 array arithmetic; numpy.linalg is deliberately not used so that library
 results and test oracles stay independent.
+
+Both kernels spend their work on arithmetic.  A multisection pass
+counts one tree of nested midpoints per distinct bracket, as deep as a
+fixed budget of shifts allows: in the first pass every eigenvalue
+shares the Gershgorin bracket, and one tree takes ten halvings for all
+of them.  The twisted factorization runs its recurrences unclamped in
+IEEE arithmetic and reruns, with pivots clamped away from zero, only
+the shifts where a pivot that divides came within pivmin of zero (the
+fast path with a careful rerun of Marques, Riedy & Voemel, SIAM J. Sci.
+Comput. 28, 2006).  Both give the same bits as one tree per eigenvalue
+and a clamp at every pivot.
 """
 
 from __future__ import annotations
@@ -18,9 +29,12 @@ _EPS = np.finfo(float).eps
 
 # cap on the bisection halvings per eigenvalue and per call of _multisect
 _BISECTION_STEPS = 160
-# halvings taken from one Sturm pass: the pass counts 2**depth - 1
-# shifts per eigenvalue, so deeper trees trade shifts for Python steps
-_MULTISECTION_DEPTH = 4
+# shifts counted by one Sturm pass: a pass over U distinct brackets
+# takes the deepest tree with U * (2**depth - 1) shifts within the
+# budget, and at least _MIN_DEPTH halvings, so deeper trees trade
+# shifts for Python steps
+_PASS_SHIFTS = 1023
+_MIN_DEPTH = 4
 # bracket width, relative to the Gershgorin scale, at which bisection
 # hands an isolated eigenvalue to Rayleigh-quotient steps
 _BRACKET_WIDTH = 1e-6
@@ -71,12 +85,12 @@ def _sturm_counts(d, e2, xs):
 def _multisect(d, e2, lower, upper, target, pivmin, width=None):
     """Bisect the brackets [lower, upper] of eigenvalues number target.
 
-    Each Sturm pass counts the full tree of _MULTISECTION_DEPTH nested
-    midpoints 0.5 * (lower + upper) of every bracket, and the walk down
-    that tree then applies the halvings one level at a time, with the
-    stopping test and the _BISECTION_STEPS cap checked before each.
-    Stops once every bracket is at most width wide, or at roundoff
-    scale when width is None.
+    Each Sturm pass counts one full tree of nested midpoints
+    0.5 * (lower + upper) per distinct bracket, as deep as _PASS_SHIFTS
+    allows, and the walk down that tree then applies the halvings one
+    level at a time, with the stopping test and the _BISECTION_STEPS
+    cap checked before each.  Stops once every bracket is at most width
+    wide, or at roundoff scale when width is None.
     """
     def settled():
         tol = width if width is not None else (
@@ -86,14 +100,24 @@ def _multisect(d, e2, lower, upper, target, pivmin, width=None):
     # a zero e_i^2 (a split, or an underflowed square) becomes the
     # smallest normal number, so that 0 / 0 cannot arise in the count
     e2 = np.maximum(e2, np.finfo(float).tiny)
-    cols = np.arange(lower.size)
     steps = 0
     while steps < _BISECTION_STEPS and not settled():
-        # level j holds 2**j nodes per eigenvalue; node p's children are
+        # brackets equal bit for bit share one tree, column group[k] for
+        # eigenvalue k.  Equal brackets sit in adjacent rows, because
+        # brackets that start equal part on one count, which splits
+        # ascending targets in two; were a run split, its tree would
+        # only be counted twice
+        bits = np.stack((lower, upper), axis=1).view(np.int64)
+        new = np.append(True, np.any(bits[1:] != bits[:-1], axis=1))
+        group = np.cumsum(new) - 1
+        first = np.flatnonzero(new)
+        depth = max(_MIN_DEPTH, (_PASS_SHIFTS // first.size + 1).bit_length()
+                    - 1)
+        # level j holds 2**j nodes per bracket; node p's children are
         # p (count reached the target, keep the lower half) and p + 2**j
-        level_lo, level_hi = lower[None], upper[None]
+        level_lo, level_hi = lower[None, first], upper[None, first]
         mids = []
-        for _ in range(_MULTISECTION_DEPTH):
+        for _ in range(depth):
             mid = 0.5 * (level_lo + level_hi)
             mids.append(mid)
             level_lo = np.concatenate((level_lo, mid))
@@ -101,17 +125,36 @@ def _multisect(d, e2, lower, upper, target, pivmin, width=None):
         tree = np.concatenate(mids)
         counts = _sturm_counts(d, e2, tree.ravel()).reshape(tree.shape)
         node = np.zeros(lower.size, dtype=np.int64)
-        for level in range(_MULTISECTION_DEPTH):
+        for level in range(depth):
             if level and (steps == _BISECTION_STEPS or settled()):
                 break
             row = node + (2 ** level - 1)
-            mid = tree[row, cols]
-            take_upper = counts[row, cols] >= target
+            mid = tree[row, group]
+            take_upper = counts[row, group] >= target
             upper = np.where(take_upper, mid, upper)
             lower = np.where(take_upper, lower, mid)
             node += ~take_upper * 2 ** level
             steps += 1
     return lower, upper
+
+
+def _pivots(rows, e2s, pivmin=None):
+    """Pivots p_0 = rows_0, p_i = rows_i - e2s_{i-1} / p_{i-1}, columnwise.
+
+    With pivmin, each pivot within pivmin of zero is set to -pivmin
+    before it divides; the last pivot, which divides nothing, is left
+    to the caller.
+    """
+    pivots = np.empty_like(rows)
+    tmp = np.empty(rows.shape[1:])
+    pivots[0] = rows[0]
+    for i in range(1, rows.shape[0]):
+        above = pivots[i - 1]
+        if pivmin is not None:
+            np.copyto(above, -pivmin, where=np.abs(above) <= pivmin)
+        np.divide(e2s[i - 1], above, out=tmp)
+        np.subtract(rows[i], tmp, out=pivots[i])
+    return pivots
 
 
 def _twisted(d, e, e2, lam, pivmin):
@@ -128,24 +171,22 @@ def _twisted(d, e, e2, lam, pivmin):
     array, and the residual bounds |gamma_r| / |z|.
     """
     n = d.size
-    # row i of the (n, K) tables holds site i for every shift, so each
+    # row i of the (n, 2, K) tables holds site i for every shift, so each
     # step reads contiguous memory; one loop runs both recurrences, the
-    # progressive one on reversed rows, and clamps pivots within pivmin
-    # of zero to -pivmin
+    # progressive one on reversed rows
     a = d[:, None] - lam
     rows = np.stack((a, a[::-1]), axis=1)
-    e2s = np.stack((e2, e2[::-1]), axis=1)[:, :, None]
-    pivots = np.empty_like(rows)
-    tmp = np.empty(rows.shape[1:])
-    tiny = np.empty(rows.shape[1:], dtype=bool)
-    pivots[0] = rows[0]
-    for i in range(n):
-        if i:
-            np.divide(e2s[i - 1], pivots[i - 1], out=tmp)
-            np.subtract(rows[i], tmp, out=pivots[i])
-        np.abs(pivots[i], out=tmp)
-        np.less_equal(tmp, pivmin, out=tiny)
-        np.copyto(pivots[i], -pivmin, where=tiny)
+    e2s = np.broadcast_to(np.stack((e2, e2[::-1]), axis=1)[:, :, None],
+                          (n - 1,) + rows.shape[1:])
+    # where every pivot that divides stays beyond pivmin the clamp never
+    # acts; only the other recurrences, NaN included, are rerun clamped
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pivots = _pivots(rows, e2s)
+        rerun = ~np.all(np.abs(pivots[:-1]) > pivmin, axis=0)
+        if rerun.any():
+            pivots[:, rerun] = _pivots(rows[:, rerun], e2s[:, rerun], pivmin)
+    last = pivots[-1]
+    np.copyto(last, -pivmin, where=np.abs(last) <= pivmin)
     top = pivots[:, 0]
     bottom = pivots[::-1, 1]
     gamma = top + bottom - a

@@ -234,7 +234,8 @@ def connecting_from_spectral(sd, T):
     if T > N:
         raise ValueError("horizon exceeds interval size")
     cheb = chebyshev_seq(T, sd.eigenvalues)[T:0:-1]
-    return cheb @ np.diag(1.0 / sd.norming) @ cheb.T
+    # columns scaled by the weights, the entries of cheb @ diag(1 / rho)
+    return (cheb * (1.0 / sd.norming)) @ cheb.T
 
 
 def spectral_measure(sd):

@@ -237,6 +237,21 @@ class TestSpectral:
         doc = json.loads(capsys.readouterr().out)
         assert doc["values"] == pytest.approx(list(b), abs=1e-6)
 
+    @pytest.mark.parametrize("command, flag, kind, values", [
+        ("spectral", "--potential", "potential", '[{"a": 1}, 2]'),
+        ("spectral", "--potential", "potential", '["1.5", 2]'),
+        ("spectral", "--potential", "potential", '[true, 2]'),
+        ("spectral-invert", "--spectral", "spectral", '[[0.5, {"x": 1}]]'),
+        ("spectral-invert", "--spectral", "spectral",
+         '[[-1.0, "2"], [1.0, 2.0]]'),
+    ])
+    def test_non_number_entries_exit_2(self, tmp_path, capsys, command, flag,
+                                       kind, values):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"kind": "{kind}", "values": {values}}}')
+        assert main([command, flag, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_mass_rejected(self, tmp_path, capsys):
         sfile = tmp_path / "s.json"
         files.write_text(files.dumps_json(

@@ -8,6 +8,9 @@ import pytest
 from lattice_bc import files
 from lattice_bc.spectral import SpectralData
 
+# an integer that JSON allows and a double cannot hold
+BIG = "1" + "0" * 400
+
 
 class TestJsonEmitter:
     def test_floats_round_trip_exactly(self):
@@ -64,6 +67,35 @@ class TestParsing:
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             files.parse_problem('{"kind": "potential", "values": []}')
+
+    @pytest.mark.parametrize("kind, values", [
+        ("potential", '[{"a": 1}, 2]'),
+        ("potential", '["1.5"]'),
+        ("control", '[true, 1.0]'),
+        ("kernel", '[1, null]'),
+        ("potential", '[[1.0, 2.0]]'),
+        ("potential", '1.5'),
+        ("potential", '[1e999999]'),
+        ("potential", f'[{BIG}]'),
+        ("spectral", '[[0.5, {"x": 1}]]'),
+        ("spectral", '[["-1", 2.0], [1.0, 2.0]]'),
+        ("spectral", '[[-1.0, 2.0], [1.0, false]]'),
+        ("spectral", '[[-1.0, 2.0, 0.0], [1.0, 2.0]]'),
+        ("spectral", '[-1.0, 2.0]'),
+        ("spectral", f'[[-{BIG}, 2.0], [1.0, 2.0]]'),
+    ], ids=lambda v: v.replace(BIG, "BIG"))
+    def test_entries_must_be_numbers(self, kind, values):
+        # only JSON numbers, in the shape the kind requires: no strings,
+        # booleans, null, objects, extra nesting or out-of-range integers
+        with pytest.raises(ValueError):
+            files.parse_problem(f'{{"kind": "{kind}", "values": {values}}}')
+
+    def test_integers_are_numbers(self):
+        pf = files.parse_problem('{"kind": "kernel", "values": [1, -2, 0.5]}')
+        assert np.array_equal(pf.values, [1.0, -2.0, 0.5])
+        pf = files.parse_problem(
+            '{"kind": "spectral", "values": [[-1, 2], [1, 2.0]]}')
+        assert np.array_equal(pf.values, [[-1.0, 2.0], [1.0, 2.0]])
 
 
 class TestSpectralFiles:

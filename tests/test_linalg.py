@@ -228,3 +228,119 @@ class TestEigen:
         lam_ref, rho_ref = decimal_eigendata(H.diag, oracle)
         bound = 1e-11 + 100 * EPS * norm_h / gaps(lam_ref)
         assert np.all(np.abs(sd.norming / rho_ref - 1.0) <= bound)
+
+
+def gershgorin_setup(d, e):
+    """The squares, Gershgorin bracket, scale and pivot floor that
+    tridiag_eigensystem hands to _multisect and _twisted."""
+    radius = np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))
+    lo = float(np.min(d - radius))
+    hi = float(np.max(d + radius))
+    scale = max(abs(lo), abs(hi), 1.0)
+    pivmin = max(np.finfo(float).tiny / EPS, EPS * EPS * scale)
+    return e * e, lo - 2 * EPS * scale, hi + 2 * EPS * scale, scale, pivmin
+
+
+def wells(n, sites, depth):
+    d = np.zeros(n)
+    d[list(sites)] = -depth
+    return d, np.ones(n - 1)
+
+
+def split_chain(n):
+    e = np.ones(n - 1)
+    e[n // 2 - 1] = 0.0
+    return np.zeros(n), e
+
+
+class TestKernels:
+    @pytest.mark.parametrize("d, e", [
+        (np.random.default_rng(13).uniform(-0.3, 0.3, 64), np.ones(63)),
+        wells(40, (10, 29), 4.0),
+        split_chain(26),
+    ], ids=["random", "wells", "split"])
+    def test_brackets_do_not_depend_on_the_stack(self, d, e):
+        # a stack shares one tree of midpoints among equal brackets and
+        # takes shallower trees than a row alone: neither may change a
+        # bit of any bracket, at the 1e-6 width or at the roundoff stop
+        e2, lo, hi, scale, pivmin = gershgorin_setup(d, e)
+        n = d.size
+        target = np.arange(1, n + 1)
+        lower, upper = linalg._multisect(d, e2, np.full(n, lo),
+                                         np.full(n, hi), target, pivmin,
+                                         1e-6 * scale)
+        fine = linalg._multisect(d, e2, lower, upper, target, pivmin)
+        for k in range(n):
+            one = slice(k, k + 1)
+            alone = linalg._multisect(d, e2, np.full(1, lo), np.full(1, hi),
+                                      target[one], pivmin, 1e-6 * scale)
+            assert np.array_equal(alone, (lower[one], upper[one]))
+            alone = linalg._multisect(d, e2, lower[one], upper[one],
+                                      target[one], pivmin)
+            assert np.array_equal(alone, (fine[0][one], fine[1][one]))
+        assert np.all(upper - lower <= 1e-6 * scale)
+
+    def test_twisted_columns_are_independent(self):
+        # shift d[0] makes the first stationary pivot exactly 0; shift 0
+        # makes it 1e-40, within pivmin but not zero, and makes the
+        # progressive pivot at site m exactly 0.  Both take the clamped
+        # rerun.  With the last site split off, shift d[-1] makes the
+        # last stationary pivot exactly 0, and it divides nothing
+        rng = np.random.default_rng(14)
+        n, m = 24, 9
+        d = rng.uniform(-1.0, 1.0, n)
+        e = rng.uniform(0.5, 1.5, n - 1)
+        e2 = e * e
+        d[0] = 1e-40
+        pivot = d[-1]
+        for i in range(n - 2, m, -1):
+            pivot = d[i] - e2[i] / pivot
+        d[m] = e2[m] / pivot
+        lam = np.append(linalg.tridiag_eigensystem(d, e)[0][::5], [d[0], 0.0])
+        check_twisted(d, e, lam, clamped=(-2, -1))
+        d, e = d[:6], np.append(e[:4], 0.0)
+        check_twisted(d, e, np.array([0.5, d[-1]]), clamped=(-1,))
+
+
+def check_twisted(d, e, lam, clamped):
+    """_twisted on the stack of shifts lam equals _twisted on each shift
+    alone, and in the columns clamped a clamped recurrence."""
+    e2, _, _, _, pivmin = gershgorin_setup(d, e)
+    stack = linalg._twisted(d, e, e2, lam, pivmin)
+    for k in range(lam.size):
+        alone = linalg._twisted(d, e, e2, lam[k:k + 1], pivmin)
+        for got, want in zip(stack, alone):
+            assert np.array_equal(got[k:k + 1], want)
+    for k in clamped:
+        want = clamped_twisted(d, e, e2, lam[k], pivmin)
+        for got, value in zip(stack, want):
+            assert np.array_equal(got[k], value)
+        assert np.all(np.isfinite(stack[1][k]))
+
+
+def clamped_twisted(d, e, e2, lam, pivmin):
+    """_twisted for one shift, one site at a time, with every pivot
+    within pivmin of zero set to -pivmin as soon as it is formed."""
+    n = d.size
+    a = d - lam
+
+    def pivots(a, e2):
+        p = np.empty(n)
+        for i in range(n):
+            p[i] = a[i] - e2[i - 1] / p[i - 1] if i else a[i]
+            if abs(p[i]) <= pivmin:
+                p[i] = -pivmin
+        return p
+
+    top = pivots(a, e2)
+    bottom = pivots(a[::-1], e2[::-1])[::-1]
+    gamma = top + bottom - a
+    r = int(np.argmin(np.abs(gamma)))
+    z = np.ones(n)
+    for i in range(r - 1, -1, -1):
+        z[i] = z[i + 1] * (-e[i] / top[i])
+    for i in range(r + 1, n):
+        z[i] = z[i - 1] * (-e[i - 1] / bottom[i])
+    norm2 = np.einsum("kn,kn->k", z[None], z[None])[0]
+    norm = np.sqrt(norm2)
+    return gamma[r] / norm2, z / norm, abs(gamma[r]) / norm

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_bc.bc_ops import connecting_matrix, response_kernel
-from lattice_bc.core import Tolerances
+from lattice_bc.core import Tolerances, chebyshev_seq
 from lattice_bc.forward import solve_interval, solve_semi_infinite
 from lattice_bc.linalg import ConvergenceFailure, tridiag_eigensystem
 from lattice_bc.spectral import (Hamiltonian, SpectralData, SpectralMeasure,
@@ -300,16 +300,25 @@ class TestKernelFromSpectral:
             kernel_from_spectral(sd, -1)
 
 
+def dense_connecting(sd, T):
+    """The connecting matrix through a dense diagonal of the weights;
+    scaling the columns instead must keep every bit."""
+    cheb = chebyshev_seq(T, sd.eigenvalues)[T:0:-1]
+    return cheb @ np.diag(1.0 / sd.norming) @ cheb.T
+
+
 class TestConnectingFromSpectral:
     def test_single_site(self):
         sd = eigen_decompose(build_hamiltonian([0.3], 1))
-        assert np.allclose(connecting_from_spectral(sd, 1), [[1.0]],
-                           atol=1e-12)
+        C = connecting_from_spectral(sd, 1)
+        assert np.allclose(C, [[1.0]], atol=1e-12)
+        assert np.array_equal(C, dense_connecting(sd, 1))
 
     def test_free_two_site(self):
         sd = eigen_decompose(build_hamiltonian(np.zeros(2), 2))
         C = connecting_from_spectral(sd, 1)
         assert np.allclose(C, [[1.0]], atol=1e-12)
+        assert np.array_equal(C, dense_connecting(sd, 1))
 
     def test_matches_kernel_route(self):
         rng = np.random.default_rng(78)
@@ -321,6 +330,7 @@ class TestConnectingFromSpectral:
                 C_kernel = connecting_matrix(
                     response_kernel(b, 2 * T - 2), T)
                 assert np.max(np.abs(C_spec - C_kernel)) <= 1e-9
+                assert np.array_equal(C_spec, dense_connecting(sd, T))
 
     def test_horizon_beyond_size_rejected(self):
         sd = eigen_decompose(build_hamiltonian([0.5, 0.5], 2))
