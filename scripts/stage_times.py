@@ -27,8 +27,8 @@ The round-trip pipeline (size T, the horizon):
     invert_krein             b-hat through the lambda = 0 trace
     shared                   the verdict and all three solvers on r, as
                              `lattice-bc invert` and the invert-deep
-                             benchmark call them: one moment recursion,
-                             read four times
+                             benchmark call them: one moment recursion
+                             and readout, shared by four calls
     roundtrip_report[M]      cli.roundtrip_report over M draws, for M in
                              REPORT_SIZES
 
@@ -36,7 +36,7 @@ Each stage time is the best of REPEATS calls per potential, and the
 cell reports the median over potentials in milliseconds (a report is
 timed once per cell).  The three eigen_decompose stages come from one
 call, timed by wrapping linalg._multisect and linalg._twisted for its
-duration.  The inversion functions share the recursion of
+duration.  The inversion functions share the recursion and readout of
 the last kernel they saw, so that cache is cleared before every call:
 each single-stage time is a cold call, and shared shows what sharing
 saves.  Next to the times it records max |b-hat - b|:
@@ -92,13 +92,22 @@ SOLVERS = {"invert_factorization": invert_factorization,
 REPORT_SIZES = (25, 500)
 
 
+def clear_shared():
+    """Empty what the inversion functions share between calls: the
+    cache of answers, or the single recursion slot of libraries that
+    predate it."""
+    cached = getattr(inversion, "_cached_answers", None)
+    if cached is not None:
+        cached.cache_clear()
+    else:
+        inversion._slot = None
+
+
 def best_ms(fn, *args):
     """Best wall time of REPEATS cold calls, and the last result."""
     best = float("inf")
     for _ in range(REPEATS):
-        # the recursion the inversion functions share; a library
-        # without it ignores the attribute
-        inversion._slot = None
+        clear_shared()
         start = time.perf_counter()
         result = fn(*args)
         best = min(best, time.perf_counter() - start)

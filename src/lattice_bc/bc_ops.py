@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_float_array, check_horizon, check_kernel, convolve
+from .core import (as_float_array, check_count, check_horizon, check_kernel,
+                   convolve)
 from .forward import _goursat_steps, solve_goursat, solve_semi_infinite
 
 
@@ -47,11 +48,9 @@ def response_kernel(b, K):
     first row.  The potential is zero-padded as needed; entries beyond
     b_ceil(K/2) cannot influence the returned prefix.
     """
-    if (not isinstance(K, (int, np.integer)) or isinstance(K, bool)
-            or K < 0):
-        raise ValueError("kernel order must be nonnegative")
+    K = check_count(K, 0, "kernel order must be nonnegative")
     b = as_float_array(b, "potential") if K >= 1 else np.zeros(0)
-    return _response_kernels(b[None], int(K))[0]
+    return _response_kernels(b[None], K)[0]
 
 
 def apply_response(r, f):

@@ -19,11 +19,10 @@ import numpy as np
 from . import files
 from .bc_ops import (_response_kernels, connecting_matrix,
                      connecting_via_waves, response_kernel)
-from .core import Tolerances
+from .core import Tolerances, check_count
 from .forward import solve_interval, solve_semi_infinite
 from .inversion import (DegenerateTrace, KreinConfig, SingularConnecting,
-                        SingularLeadingMinor, _moment_recursion,
-                        _read_factorization, _read_krein, _read_verdict,
+                        SingularLeadingMinor, _block_outcomes,
                         characterize_response, invert_factorization,
                         invert_gelfand_levitan, invert_krein)
 from .linalg import ConvergenceFailure
@@ -177,12 +176,8 @@ def cmd_spectral_invert(args):
 
 
 def _check_roundtrip(instances, T, amplitude):
-    if (not isinstance(instances, (int, np.integer))
-            or isinstance(instances, bool) or instances < 0):
-        raise ValueError("instances must be nonnegative")
-    if (not isinstance(T, (int, np.integer)) or isinstance(T, bool)
-            or T < 1):
-        raise ValueError("--horizon is required and must be positive")
+    check_count(instances, 0, "instances must be nonnegative")
+    check_count(T, 1, "--horizon is required and must be positive")
     # the draws span 2 * amplitude, which must be finite
     if not 0.0 <= amplitude <= np.finfo(float).max / 2:
         raise ValueError("amplitude must be finite and nonnegative")
@@ -220,9 +215,9 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
     to the three solvers; the report tallies per-method successes,
     worst recovery error and failures, and the inadmissible instances.
     The draws are taken in blocks of _BLOCK instances, each served by
-    one stacked kernel fill and one moment recursion, whose readouts
-    are tallied as arrays; the report is the same bytes as one draw,
-    kernel and solver call per instance.
+    one stacked kernel fill and one stacked moment recursion, whose
+    outcomes are tallied as arrays; the report is the same bytes as one
+    draw, kernel and solver call per instance.
     """
     _check_roundtrip(instances, T, amplitude)
     if not isinstance(tol, Tolerances):
@@ -236,24 +231,17 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
         # one (rows, T - 1) draw is the same stream as rows draws of T - 1
         draws = rng.uniform(-amplitude, amplitude,
                             (min(_BLOCK, instances - start), T - 1))
-        r = _response_kernels(draws, 2 * T - 2)
+        # a fill that overflows fails the check below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _response_kernels(draws, 2 * T - 2)
         if not np.all(np.isfinite(r)):
             # what characterize_response raises for such a kernel
             raise ValueError("kernel contains non-finite entries")
-        rec = _moment_recursion(r, T)
-        failing = _read_verdict(rec, T, tol)[3]
+        failing, outcomes = _block_outcomes(r, T, tol)
         admissible_count += int(np.count_nonzero(failing == 0))
         inadmissible.extend((start + np.flatnonzero(failing)).tolist())
-        b_hat, singular = _read_factorization(rec, T)
-        errors = np.where(singular > 0, SingularLeadingMinor.__name__, "")
-        # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
-        for name in ("factorization", "gelfand_levitan"):
+        for name, (b_hat, errors) in outcomes.items():
             _tally(methods[name], start, b_hat, draws, errors)
-        b_hat, singular, vanished = _read_krein(rec, T, KreinConfig())
-        errors = np.where(singular > 0, SingularConnecting.__name__,
-                          np.where(vanished > 0, DegenerateTrace.__name__,
-                                   ""))
-        _tally(methods["krein"], start, b_hat, draws, errors)
     return {
         "kind": "roundtrip_report",
         "seed": seed,

@@ -54,16 +54,22 @@ def check_kernel(r, name="kernel"):
     return arr
 
 
-def check_horizon(T, name="horizon"):
-    """Validate a positive integer count (horizon, size, order, index).
+def check_count(value, least, message):
+    """Return value as an int if it is an integer count >= least, and
+    raise ValueError(message) otherwise.
 
     bool is an int subclass but never a count, so True and False are
     rejected.
     """
-    if (not isinstance(T, (int, np.integer)) or isinstance(T, bool)
-            or T < 1):
-        raise ValueError(f"{name} must be a positive integer")
-    return int(T)
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least):
+        raise ValueError(message)
+    return int(value)
+
+
+def check_horizon(T, name="horizon"):
+    """Validate a positive integer count (horizon, size, order, index)."""
+    return check_count(T, 1, f"{name} must be a positive integer")
 
 
 def convolve(a, b):

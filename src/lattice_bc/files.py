@@ -121,7 +121,8 @@ def _validate_payload(kind, values):
 def parse_problem(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # the decoder recurses once per nesting level
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_float_array, chebyshev_seq, check_horizon, convolve
+from .core import (as_float_array, chebyshev_seq, check_count, check_horizon,
+                   convolve)
 
 
 @dataclass(frozen=True)
@@ -160,11 +161,8 @@ def apply_representation(kernel, f, n, t):
     nonempty.
     """
     n = check_horizon(n, "site index")
-    if (not isinstance(t, (int, np.integer)) or isinstance(t, bool)
-            or t < 0):
-        raise ValueError("time index must be nonnegative")
+    t = check_count(t, 0, "time index must be nonnegative")
     f = as_float_array(f, "control")
-    t = int(t)
     if t > n and kernel.order < t - 1:
         raise ValueError("kernel coverage insufficient for requested time")
     total = f[t - n] if 0 <= t - n < f.size else 0.0

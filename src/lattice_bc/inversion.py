@@ -14,32 +14,31 @@ Three routes recover the potential from a response kernel prefix
 All three, and characterize_response, read one LDL^T factorization of
 the reversed connecting matrix C-bar.  C-bar is the Gram matrix of the
 lattice Chebyshev values T_{s+1} under the functional with moments r_s,
-so the modified Chebyshev algorithm (_moment_recursion) computes that
-factorization, and the Jacobi coefficients of the potential, from r in
-O(T^2).  Its pivots give the leading minors; the Gelfand-Levitan
-systems are leading blocks of C-bar, so that route is the
-factorization; the Krein systems of all horizons share one forward
-substitution with L, done inside the recursion.
+so the modified Chebyshev algorithm computes that factorization, and
+the Jacobi coefficients of the potential, from r in O(T^2).  Its pivots
+give the leading minors; the Gelfand-Levitan systems are leading blocks
+of C-bar, so that route is the factorization; the Krein systems of all
+horizons share one forward substitution with L, done inside the
+recursion.
 
-The recursion runs on an (M, 2T-1) stack of kernels, one Python step
-per order for the whole stack.  Three readouts turn it into (., M)
-arrays, one column per kernel: _read_verdict (minors, pivots, reached
-and first failing order), _read_factorization (b-hat and the failing
-order) and _read_krein (b-hat, the horizon of a pivot at the floor and
-the first vanished trace site).  Each public function is their M = 1
-case: it reads column 0 and builds the verdict or raises the failure.
-The round-trip report reads them once per block of instances, with the
-same bits per kernel as the public functions.
+_answers runs the recursion on an (M, 2T-1) stack of kernels, one
+Python step per order for the whole stack, and reads it out as one
+record of float64 and int arrays, one column per kernel: the minors,
+pivots and reached order, and b-hat and the failure's argument of the
+factorization and of Krein.  The long double internals never leave it.
+Only _first_failing reads the tolerances.  Each public function is the
+M = 1 case: it reads column 0 and builds the verdict, returns a copy of
+b-hat or raises the route's failure, in the order _FAILURES gives.  The
+round-trip report reads _block_outcomes once per block of instances,
+with the same bits per kernel as the public functions.
 
-The public functions share one recursion per kernel, with the default
-Krein right-hand sides: a single slot holds the recursion of the last
-kernel, keyed by T and the bytes of r_0..r_{2T-2}, so the verdict and
-the solvers on one kernel run it once.  Its arrays are read-only and
-every readout builds new arrays, so callers get writable results; the
-key and the recursion are swapped in as one tuple, so threads may call
-the functions concurrently.  invert_krein with any other KreinConfig
-runs its own recursion and leaves the slot alone.  Stacks are never
-cached.
+The public functions share one record per kernel, with the default
+Krein right-hand sides: _cached_answers, an lru_cache of size one keyed
+by T and the bytes of r_0..r_{2T-2}, holds the read-only record of the
+last kernel, so the verdict and the solvers on one kernel run the
+recursion and its readout once; lru_cache is safe across threads.
+invert_krein with any other KreinConfig computes its own record and
+leaves the cache alone.  Stacks are never cached.
 
 The recursion runs in numpy's long double.  On platforms where that
 type is float64 (ARM macOS, Windows) it runs in float64, so verdict
@@ -48,6 +47,7 @@ bits and borderline outcomes can differ there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,26 +143,40 @@ def _checked_kernel(r, T):
     return r, T
 
 
-class _Recursion(NamedTuple):
-    """The moment recursion of a stack of M kernels, in long double.
+class _Answers(NamedTuple):
+    """What the public functions answer for a stack of M kernels, in
+    float64 and int arrays, column m for kernel m.
 
-    Column m of alpha (T - 1, M), of the pivots d (T, M) and of
-    z = L^{-1} g (T, M) belongs to kernel m.  stop is the index of each
-    kernel's first zero pivot and floor_fail that of its first pivot
-    not above the solvers' floor, each T when there is none.  A
-    kernel's entries past its stop, or past a non-finite pivot, are
-    never read.
+    minors and pivots (T, M) are the verdict's values, valid in each
+    column's rows below its reached order (M,).  factorization and
+    krein (T - 1, M) hold b-hat of the two routes, and leading_minor,
+    connecting and trace (M,) the argument of each route's failure, 0
+    for none: the order of SingularLeadingMinor, the horizon of
+    SingularConnecting and the site of DegenerateTrace.
     """
 
-    alpha: np.ndarray
-    d: np.ndarray
-    z: np.ndarray
-    stop: np.ndarray
-    floor_fail: np.ndarray
+    minors: np.ndarray
+    pivots: np.ndarray
+    reached: np.ndarray
+    factorization: np.ndarray
+    leading_minor: np.ndarray
+    krein: np.ndarray
+    connecting: np.ndarray
+    trace: np.ndarray
 
 
-def _moment_recursion(r, T, config=KreinConfig()):
-    """LDL^T of C-bar and the Jacobi coefficients, from r_0..r_{2T-2}.
+# Each route's failures in the order they are raised, as (exception,
+# field of _Answers holding its argument)
+_FAILURES = {
+    "krein": ((SingularConnecting, "connecting"),
+              (DegenerateTrace, "trace")),
+    "factorization": ((SingularLeadingMinor, "leading_minor"),),
+}
+
+
+def _answers(r, T, config):
+    """LDL^T of C-bar and the Jacobi coefficients, from r_0..r_{2T-2},
+    read out as the _Answers of the stack r.
 
     The modified Chebyshev algorithm (Sack & Donovan 1971; Wheeler
     1974; Gautschi 2004, section 2.1.7) with modified moments r_l in
@@ -180,10 +194,15 @@ def _moment_recursion(r, T, config=KreinConfig()):
     itself is never stored.
 
     r is an (M, >= 2T - 1) stack, held with the stack axis last, and
-    every step runs on all M kernels at once.  A kernel runs on past a
-    zero or non-finite pivot, with floating point warnings silenced,
-    and its stop is found after the loop: tracking it per step costs
-    more than the wasted arithmetic.
+    every step runs on all M kernels at once, in long double.  A kernel
+    runs on past a zero or non-finite pivot, with floating point
+    warnings silenced; its entries past the first zero pivot, or past
+    the solvers' floor, are never read, and tracking that per step
+    costs more than the wasted arithmetic.  The minors and pivots go
+    up to the first zero pivot (its order included) or value beyond
+    float64 (its order left out).  Both routes fail at the first pivot
+    not above the floor; Krein's trace y_tau = z_{tau-1} / d_{tau-1},
+    y_0 = alpha, fails first where it vanishes relative to max |y|.
     """
     M, n = r.shape[0], 2 * T - 1
     sigma = np.array(r[:, :n].T, dtype=np.longdouble, order="C")
@@ -213,8 +232,21 @@ def _moment_recursion(r, T, config=KreinConfig()):
                 alpha[k] = lower - upper if k else lower
                 upper = lower
             beta = d[k] / d[k - 1] if k else d[0]
-        usable = np.isfinite(d) & (np.abs(d) > _pivot_floor(r, T).T)
-    return _Recursion(alpha, d, z, _first(d == 0), _first(~usable))
+        floor = _first(~(np.isfinite(d)
+                         & (np.abs(d) > _pivot_floor(r, T).T)))
+        minors = np.cumprod(d, axis=0).astype(float)
+        pivots = d.astype(float)
+        y = np.concatenate(
+            (np.full((1, M), config.alpha, dtype=np.longdouble), z / d))
+        vanished = (np.abs(y[1:T])
+                    <= _DEGENERACY_TOL * np.max(np.abs(y), axis=0))
+        krein = ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
+        factorization = -alpha.astype(float)
+    finite = np.isfinite(minors) & np.isfinite(pivots)
+    reached = np.minimum(np.minimum(_first(d == 0) + 1, T), _first(~finite))
+    return _Answers(minors, pivots, reached,
+                    factorization, _order(floor, T - 1),
+                    krein, _order(floor, T), _order(_first(vanished), T - 1))
 
 
 def _first(flags):
@@ -255,70 +287,66 @@ def _krein_rhs(r, T, config):
     return np.broadcast_to(g, (r.shape[0], T))
 
 
-# The recursion of the last kernel a public function read, with the
-# default Krein right-hand sides, as one (key, _Recursion) tuple.
-_slot = None
+def _first_failing(answers, tol):
+    """The first order (M,) whose minor is off one by more than
+    tol.det_tol or whose pivot is not above tol.pivot_tol, 0 when
+    admissible.  A zero pivot and a value beyond float64 fail their
+    order, so it is never past the reached one."""
+    with np.errstate(invalid="ignore"):
+        passed = ((np.abs(answers.minors - 1.0) <= tol.det_tol)
+                  & (answers.pivots > tol.pivot_tol))
+    return _order(_first(~passed), passed.shape[0])
 
 
-def _shared_recursion(r, T):
-    """The recursion of the checked kernel r with the default Krein
-    right-hand sides, from the slot when r is the last kernel.
-
-    The recursion reads r_0..r_{2T-2} only, so those bytes and T are
-    the key.  The cached arrays are read-only, and the slot is swapped
-    in one assignment, so a thread sees either the old or the new slot.
-    """
-    global _slot
-    key = (T, r[:2 * T - 1].tobytes())
-    slot = _slot
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    rec = _moment_recursion(r[None], T)
-    for array in rec:
+@functools.lru_cache(maxsize=1)
+def _cached_answers(T, prefix):
+    """The read-only _Answers of the one kernel whose r_0..r_{2T-2}
+    have the bytes prefix, with the default Krein right-hand sides."""
+    answers = _answers(np.frombuffer(prefix)[None], T, KreinConfig())
+    for array in answers:
         array.flags.writeable = False
-    _slot = key, rec
-    return rec
+    return answers
 
 
-def _read_verdict(rec, T, tol):
-    """The admissibility verdicts of every kernel of rec.
+def _kernel_answers(r, T, config=None):
+    """The _Answers of the checked kernel r with the Krein right-hand
+    sides of config, None for the default, whose answers come from the
+    cache.  alpha = -0.0 equals the default alpha but is its own trace
+    value y_0, so it gets its own answers."""
+    if config is None or (config == KreinConfig()
+                          and not np.signbit(config.alpha)):
+        return _cached_answers(T, r[:2 * T - 1].tobytes())
+    return _answers(r[None], T, config)
 
-    Returns the float64 minors and pivots (T, M), valid in each
-    column's rows below its reached order, the reached order (M,) and
-    the first failing order (M,), 0 when admissible.
+
+def _solve(answers, route):
+    """b-hat of column 0 of answers by route, or its first failure."""
+    for error, field in _FAILURES[route]:
+        argument = getattr(answers, field)[0]
+        if argument:
+            raise error(argument)
+    return getattr(answers, route)[:, 0].copy()
+
+
+def _block_outcomes(r, T, tol):
+    """The round trip's outcomes for the stack r of M kernels.
+
+    Returns the first failing order (M,) of each verdict, 0 when
+    admissible, and per method b-hat (T - 1, M) and the name of each
+    kernel's failure (M,), "" for a success: per kernel, what the
+    public functions return or raise.
     """
-    with np.errstate(all="ignore"):
-        minors = np.cumprod(rec.d, axis=0).astype(float)
-        pivots = rec.d.astype(float)
-        # a zero pivot and a value beyond float64 fail their order, so
-        # the first failing order is never past the reached ones
-        passed = ((np.abs(minors - 1.0) <= tol.det_tol)
-                  & (pivots > tol.pivot_tol))
-    finite = np.isfinite(minors) & np.isfinite(pivots)
-    reached = np.minimum(np.minimum(rec.stop + 1, T), _first(~finite))
-    return minors, pivots, reached, _order(_first(~passed), T)
-
-
-def _read_factorization(rec, T):
-    """Layer stripping for every kernel of rec: b-hat (T - 1, M) and
-    the order (M,) of its first pivot at the floor, 0 for none."""
-    with np.errstate(all="ignore"):
-        b = -rec.alpha.astype(float)
-    return b, _order(rec.floor_fail, T - 1)
-
-
-def _read_krein(rec, T, config):
-    """Krein for every kernel of rec, whose right-hand sides g are those
-    of config: b-hat (T - 1, M), the horizon (M,) of the first pivot at
-    the floor and the first site (M,) where the trace y vanishes, each
-    0 for none.  A pivot at the floor comes before a vanished site."""
-    alpha = np.full((1, rec.d.shape[1]), config.alpha, dtype=np.longdouble)
-    with np.errstate(all="ignore"):
-        y = np.concatenate((alpha, rec.z / rec.d))
-        vanished = (np.abs(y[1:T])
-                    <= _DEGENERACY_TOL * np.max(np.abs(y), axis=0))
-        b = ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
-    return b, _order(rec.floor_fail, T), _order(_first(vanished), T - 1)
+    answers = _answers(r, T, KreinConfig())
+    outcomes = {}
+    for route, failures in _FAILURES.items():
+        names = ""
+        for error, field in reversed(failures):
+            names = np.where(getattr(answers, field) > 0, error.__name__,
+                             names)
+        outcomes[route] = getattr(answers, route), names
+    # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
+    outcomes["gelfand_levitan"] = outcomes["factorization"]
+    return _first_failing(answers, tol), outcomes
 
 
 def invert_krein(r, T, config=KreinConfig()):
@@ -344,16 +372,7 @@ def invert_krein(r, T, config=KreinConfig()):
     r, T = _checked_kernel(r, T)
     if not isinstance(config, KreinConfig):
         raise ValueError("config must be a KreinConfig")
-    if config == KreinConfig():
-        rec = _shared_recursion(r, T)
-    else:
-        rec = _moment_recursion(r[None], T, config)
-    b, singular, vanished = _read_krein(rec, T, config)
-    if singular[0]:
-        raise SingularConnecting(singular[0])
-    if vanished[0]:
-        raise DegenerateTrace(vanished[0])
-    return b[:, 0]
+    return _solve(_kernel_answers(r, T, config), "krein")
 
 
 def invert_factorization(r, T):
@@ -367,10 +386,7 @@ def invert_factorization(r, T):
     floor raises SingularLeadingMinor(order).
     """
     r, T = _checked_kernel(r, T)
-    b, singular = _read_factorization(_shared_recursion(r, T), T)
-    if singular[0]:
-        raise SingularLeadingMinor(singular[0])
-    return b[:, 0]
+    return _solve(_kernel_answers(r, T), "factorization")
 
 
 def invert_gelfand_levitan(r, T):
@@ -406,11 +422,12 @@ def characterize_response(r, T, tol=Tolerances()):
     r, T = _checked_kernel(r, T)
     if not isinstance(tol, Tolerances):
         raise ValueError("tol must be a Tolerances instance")
-    minors, pivots, reached, failing = _read_verdict(
-        _shared_recursion(r, T), T, tol)
+    answers = _kernel_answers(r, T)
+    failing = int(_first_failing(answers, tol)[0])
+    reached = answers.reached[0]
     return CharacterizationVerdict(
-        admissible=not failing[0],
-        first_failing_order=int(failing[0]) or None,
-        minor_values=minors[:reached[0], 0],
-        pivot_values=pivots[:reached[0], 0],
+        admissible=not failing,
+        first_failing_order=failing or None,
+        minor_values=answers.minors[:reached, 0].copy(),
+        pivot_values=answers.pivots[:reached, 0].copy(),
     )

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import Tolerances, as_float_array, chebyshev_seq, check_horizon
+from .core import (Tolerances, as_float_array, chebyshev_seq, check_count,
+                   check_horizon)
 from .linalg import ConvergenceFailure
 
 __all__ = [
@@ -203,12 +204,9 @@ def kernel_from_spectral(sd, K, dirichlet_correction=False):
         raise ValueError("sd must be SpectralData")
     N = sd.size
     limit = 2 * N if dirichlet_correction else 2 * N - 1
-    if (not isinstance(K, (int, np.integer)) or isinstance(K, bool)
-            or K < 0):
-        raise ValueError("kernel order must be nonnegative")
+    K = check_count(K, 0, "kernel order must be nonnegative")
     if K > limit:
         raise ValueError("kernel order beyond spectral validity range")
-    K = int(K)
     weights = 1.0 / sd.norming
     table = chebyshev_seq(K + 1, sd.eigenvalues)
     r = np.empty(K + 1)

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +17,8 @@ from lattice_bc import cli, files
 from lattice_bc.bc_ops import connecting_matrix, response_kernel
 from lattice_bc.cli import main, roundtrip_report
 from lattice_bc.core import Tolerances
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_doc(path, kind, values, meta=None):
@@ -345,6 +352,21 @@ class TestRoundtrip:
             with pytest.raises(ValueError, match="amplitude must be finite"):
                 roundtrip_report(0, 2, 4, float(amplitude))
 
+    def test_kernel_that_overflows_exits_2_without_warnings(self):
+        # a separate interpreter, with the default warning filters
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice_bc.cli", "roundtrip",
+             "--instances", "2", "--horizon", "3", "--amplitude", "1e200"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: kernel contains non-finite entries\n")
+        # in process, pytest turns RuntimeWarning into an error
+        with pytest.raises(ValueError, match="kernel contains non-finite"):
+            roundtrip_report(0, 2, 3, 1e200)
+
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2 ** 32 - 1), instances=st.integers(0, 13),
            T=st.integers(1, 40), amplitude=st.floats(0.0, 3.0),
@@ -415,6 +437,65 @@ class TestRoundtrip:
                      "--tol-det", "1e-6"]) == 0
         report = roundtrip_report(3, 12, 10, 0.8, Tolerances(det_tol=1e-6))
         assert capsys.readouterr().out == files.dumps_json(report) + "\n"
+
+
+class TestDeeplyNestedInput:
+    TEXT = ('{"kind": "kernel", "values": ' + "[" * 100_000 + "]" * 100_000
+            + "}")
+
+    def test_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(self.TEXT)
+        assert main(["characterize", "--kernel", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON:")
+
+    def test_stdin_exits_2(self, capsys):
+        with mock.patch("sys.stdin", io.StringIO(self.TEXT)):
+            assert main(["invert", "--kernel", "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON:")
+
+
+GOLDEN = ROOT / "tests" / "golden"
+KERNEL = str(GOLDEN / "kernel_t16.json")
+
+
+class TestGoldenBytes:
+    """The CLI's output is the checked-in output of these commands, byte
+    for byte: a check against bits that move in the library and in a
+    reference computed with it alike.  The files hold the bits of the
+    x87 80-bit long double, which the moment recursion runs in."""
+
+    CASES = {
+        "kernel_t16.json": [
+            "response", "--potential", str(GOLDEN / "potential_t16.json"),
+            "--order", "30"],
+        "characterize_t16.json": ["characterize", "--kernel", KERNEL],
+        "invert_factorization_t16.json": [
+            "invert", "--kernel", KERNEL, "--method", "factorization"],
+        "invert_gelfand_levitan_t16.json": [
+            "invert", "--kernel", KERNEL, "--method", "gelfand-levitan"],
+        "invert_krein_t16.json": [
+            "invert", "--kernel", KERNEL, "--method", "krein"],
+        "invert_krein_alpha_t16.json": [
+            "invert", "--kernel", KERNEL, "--method", "krein",
+            "--alpha", "0.3", "--beta", "1.2"],
+        # every solver fails on some of these instances
+        "roundtrip_s7_m131_t16_a2.json": [
+            "roundtrip", "--seed", "7", "--instances", "131",
+            "--horizon", "16", "--amplitude", "2.0"],
+        "roundtrip_s0_m25_t64_a03.json": [
+            "roundtrip", "--seed", "0", "--instances", "25",
+            "--horizon", "64", "--amplitude", "0.3"],
+    }
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="long double is not the x87 80-bit type")
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_is_the_golden_file(self, name, capsys):
+        assert main(self.CASES[name]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestStdinOutput:

@@ -54,6 +54,13 @@ class TestParsing:
         with pytest.raises(ValueError):
             files.parse_problem("{nope")
 
+    @pytest.mark.parametrize("depth", [1000, 100_000])
+    def test_deeply_nested_json_rejected(self, depth):
+        text = ('{"kind": "kernel", "values": ' + "[" * depth + "]" * depth
+                + "}")
+        with pytest.raises(ValueError):
+            files.parse_problem(text)
+
     def test_kernel_head_validated(self):
         with pytest.raises(ValueError):
             files.parse_problem(

@@ -16,9 +16,8 @@ from lattice_bc.core import Tolerances
 from lattice_bc.inversion import (CharacterizationVerdict, DegenerateTrace,
                                   InversionError, KreinConfig,
                                   SingularConnecting, SingularLeadingMinor,
-                                  _moment_recursion,
-                                  _read_factorization, _read_krein,
-                                  _read_verdict, characterize_response,
+                                  _answers, _block_outcomes,
+                                  _first_failing, characterize_response,
                                   invert_factorization,
                                   invert_gelfand_levitan, invert_krein)
 
@@ -273,48 +272,56 @@ class TestStack:
     kinds = st.lists(st.sampled_from(KINDS), min_size=1, max_size=6)
 
     @given(T=st.integers(1, 40), kinds=kinds, amplitude=st.floats(0.0, 3.0),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_recursion_columns_are_single_recursions(self, T, kinds,
-                                                     amplitude, seed):
-        r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
-        config = KreinConfig(alpha=0.3, beta=1.2)
-        rec = _moment_recursion(r, T, config)
-        for m in range(len(kinds)):
-            one = _moment_recursion(r[m:m + 1], T, config)
-            stop = one.stop[0]
-            assert (rec.stop[m], rec.floor_fail[m]) == (stop,
-                                                        one.floor_fail[0])
-            # long double compared by value: equal 80-bit values may
-            # differ in their padding bytes
-            assert np.array_equal(rec.alpha[:stop, m], one.alpha[:stop, 0])
-            assert np.array_equal(rec.d[:stop + 1, m], one.d[:stop + 1, 0])
-            if one.floor_fail[0] == T:
-                assert np.array_equal(rec.z[:, m], one.z[:, 0])
-
-    @given(T=st.integers(1, 40), kinds=kinds, amplitude=st.floats(0.0, 3.0),
            seed=st.integers(0, 2 ** 32 - 1), config=st.sampled_from(CONFIGS))
     def test_stack_outcomes_are_single_calls(self, T, kinds, amplitude,
                                              seed, config):
         r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
         tol = Tolerances()
-        rec = _moment_recursion(r, T, config)
-        minors, pivots, reached, failing = _read_verdict(rec, T, tol)
-        fact, fact_order = _read_factorization(rec, T)
-        krein, horizon, site = _read_krein(rec, T, config)
+        answers = _answers(r, T, config)
+        failing = _first_failing(answers, tol)
         for m in range(len(kinds)):
             one = characterize_response(r[m], T, tol)
             assert (not failing[m], failing[m] or None) == (
                 one.admissible, one.first_failing_order)
-            assert same_outcome(minors[:reached[m], m], one.minor_values)
-            assert same_outcome(pivots[:reached[m], m], one.pivot_values)
+            reached = answers.reached[m]
+            assert same_outcome(answers.minors[:reached, m],
+                                one.minor_values)
+            assert same_outcome(answers.pivots[:reached, m],
+                                one.pivot_values)
             assert same_outcome(
-                column_outcome(fact[:, m], (SingularLeadingMinor,
-                                            fact_order[m])),
+                column_outcome(answers.factorization[:, m],
+                               (SingularLeadingMinor,
+                                answers.leading_minor[m])),
                 outcome(invert_factorization, r[m], T))
             assert same_outcome(
-                column_outcome(krein[:, m], (SingularConnecting, horizon[m]),
-                               (DegenerateTrace, site[m])),
+                column_outcome(answers.krein[:, m],
+                               (SingularConnecting, answers.connecting[m]),
+                               (DegenerateTrace, answers.trace[m])),
                 outcome(invert_krein, r[m], T, config))
+
+    @given(T=st.integers(1, 24), kinds=kinds, amplitude=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1),
+           det_tol=st.sampled_from((1e-9, 1e-3)))
+    def test_block_outcomes_are_single_calls(self, T, kinds, amplitude,
+                                             seed, det_tol):
+        r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
+        tol = Tolerances(det_tol=det_tol)
+        failing, outcomes = _block_outcomes(r, T, tol)
+        solvers = {"krein": invert_krein,
+                   "factorization": invert_factorization,
+                   "gelfand_levitan": invert_gelfand_levitan}
+        assert list(outcomes) == list(solvers)
+        for m in range(len(kinds)):
+            assert failing[m] == (
+                characterize_response(r[m], T, tol).first_failing_order
+                or 0)
+            for name, solver in solvers.items():
+                b_hat, errors = outcomes[name]
+                want = outcome(solver, r[m], T)
+                if errors[m]:
+                    assert errors[m] == want[0]
+                else:
+                    assert same_outcome(b_hat[:, m], want)
 
 
 def verdict_bits(verdict):
@@ -334,8 +341,8 @@ def call_bits(fn, r, T, *args):
 
 
 def cold(fn, r, T, *args):
-    """call_bits with the shared recursion cleared first."""
-    inversion._slot = None
+    """call_bits with the cache of answers cleared first."""
+    inversion._cached_answers.cache_clear()
     return call_bits(fn, r, T, *args)
 
 
@@ -344,7 +351,8 @@ PUBLIC = (characterize_response, invert_krein, invert_factorization,
 
 
 class TestSharedRecursion:
-    """The public functions share the recursion of the last kernel."""
+    """The public functions share the recursion and readout of the last
+    kernel."""
 
     def kernels(self, T, seed, count=1):
         rng = np.random.default_rng(seed)
@@ -382,7 +390,10 @@ class TestSharedRecursion:
             short, long = cold(fn, r, T), cold(fn, r, T + 1)
             assert call_bits(fn, r, T) == short
             assert call_bits(fn, r, T + 1) == long
-            assert inversion._slot[0][0] == T + 1
+            # the cache holds the last horizon's answers
+            hits = inversion._cached_answers.cache_info().hits
+            assert call_bits(fn, r, T + 1) == long
+            assert inversion._cached_answers.cache_info().hits == hits + 1
             assert call_bits(fn, r, T) == short
 
     def test_other_krein_config_leaves_the_slot_alone(self):
@@ -391,16 +402,25 @@ class TestSharedRecursion:
         rng = np.random.default_rng(73)
         r = kernel_of(rng.uniform(2.1, 2.6, T - 1), T)
         default = cold(invert_krein, r, T)
-        slot = inversion._slot
+        before = inversion._cached_answers.cache_info()
         got = invert_krein(r, T, config)
-        assert inversion._slot is slot
+        assert inversion._cached_answers.cache_info() == before
         assert exact_close(got, helpers.exact_krein(r, T, 0.3, 1.2), r)
         assert call_bits(invert_krein, r, T, config) == cold(
             invert_krein, r, T, config)
         assert call_bits(invert_krein, r, T) == default
-        # -0.0 is the default alpha: it reads the slot, with y_0 = -0.0
         assert call_bits(invert_krein, r, T, KreinConfig(alpha=-0.0)) == \
             cold(invert_krein, r, T, KreinConfig(alpha=-0.0))
+
+    def test_negative_zero_alpha_is_its_own_trace_value(self):
+        # at T = 2 the free kernel's trace has y_2 = -0.0, so
+        # b_1 = (y_2 + y_0) / y_1 carries the sign of y_0 = alpha
+        r = np.array([1.0, 0.0, 0.0])
+        for first in (KreinConfig(), KreinConfig(alpha=-0.0)):
+            inversion._cached_answers.cache_clear()
+            invert_krein(r, 2, first)
+            assert np.signbit(invert_krein(r, 2, KreinConfig(alpha=-0.0)))
+            assert not np.signbit(invert_krein(r, 2))
 
     def test_returned_arrays_are_writable_copies(self):
         T = 8
@@ -422,9 +442,13 @@ class TestSharedRecursion:
     def test_cached_arrays_are_read_only(self):
         T = 8
         r = self.kernels(T, 75)[0]
-        invert_factorization(r, T)
-        rec = inversion._slot[1]
-        for array in rec:
+        inversion._cached_answers.cache_clear()
+        for fn in PUBLIC:
+            fn(r, T)
+        info = inversion._cached_answers.cache_info()
+        # one readout serves all four calls
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        for array in inversion._cached_answers(T, r[:2 * T - 1].tobytes()):
             assert not array.flags.writeable
 
     def test_threads_get_the_sequential_results(self):
