@@ -67,10 +67,12 @@ def cmd_forward(args):
     potential = _load(args.potential, ("potential",), "potential")
     f = control.values
     T = f.size
-    if args.interval_n is not None:
-        fld = solve_interval(potential.values, args.interval_n, f, T)
-    else:
-        fld = solve_semi_infinite(potential.values, f, T)
+    # a field that overflows is refused when written, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.interval_n is not None:
+            fld = solve_interval(potential.values, args.interval_n, f, T)
+        else:
+            fld = solve_semi_infinite(potential.values, f, T)
     csv = files.field_csv(fld.values)
     files.write_text(csv, args.output)
     trace = fld.boundary_trace()
@@ -82,7 +84,9 @@ def cmd_forward(args):
 
 def cmd_response(args):
     potential = _load(args.potential, ("potential",), "potential")
-    r = response_kernel(potential.values, args.order)
+    # a kernel that overflows is refused when written, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = response_kernel(potential.values, args.order)
     doc = files.problem_document("kernel", r, {"order": args.order})
     _emit_json(doc, args)
     return EXIT_OK
@@ -104,11 +108,14 @@ def cmd_connect(args):
         pf = _load(args.potential, ("potential",), "potential")
         if T is None:
             raise ValueError("--horizon is required with --potential")
-        if args.via_waves or args.verify:
-            waves = connecting_via_waves(pf.values, T)
-        if not args.via_waves or args.verify:
-            r = response_kernel(pf.values, 2 * T - 2)
-            kernel_route = connecting_matrix(r, T)
+        # a route that overflows is refused by connecting_matrix or
+        # when written, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.via_waves or args.verify:
+                waves = connecting_via_waves(pf.values, T)
+            if not args.via_waves or args.verify:
+                r = response_kernel(pf.values, 2 * T - 2)
+                kernel_route = connecting_matrix(r, T)
         C = waves if args.via_waves else kernel_route
         if args.verify:
             dev = float(np.max(np.abs(kernel_route - waves)))

@@ -9,15 +9,19 @@ Linear Algebra Appl. 387, 2004).  Everything is deterministic numpy
 array arithmetic; numpy.linalg is deliberately not used so that library
 results and test oracles stay independent.
 
-Both kernels spend their work on arithmetic.  A multisection pass
-counts one tree of nested midpoints per distinct bracket, as deep as a
-fixed budget of shifts allows: in the first pass every eigenvalue
-shares the Gershgorin bracket, and one tree takes ten halvings for all
-of them.  The twisted factorization runs its recurrences unclamped in
-IEEE arithmetic and reruns, with pivots clamped away from zero, only
+Both kernels spend their work on arithmetic, and each site costs few
+numpy calls.  A multisection pass counts one tree of nested midpoints
+per distinct bracket, as deep as a fixed budget of shifts allows: in
+the first pass every eigenvalue shares the Gershgorin bracket, and one
+tree takes ten halvings for all of them.  The count keeps the pivots of
+a block of sites in a reused buffer, so a site costs a divide and a
+subtract, and the sign bits are counted once per block.  The twisted
+factorization runs its recurrences unclamped in IEEE arithmetic on
+contiguous tables and reruns, with pivots clamped away from zero, only
 the shifts where a pivot that divides came within pivmin of zero (the
 fast path with a careful rerun of Marques, Riedy & Voemel, SIAM J. Sci.
-Comput. 28, 2006).  Both give the same bits as one tree per eigenvalue
+Comput. 28, 2006); the vectors are formed in place.  All of it gives
+the same bits as one tree per eigenvalue, a pivot and a count per site,
 and a clamp at every pivot.
 """
 
@@ -35,6 +39,9 @@ _BISECTION_STEPS = 160
 # shifts for Python steps
 _PASS_SHIFTS = 1023
 _MIN_DEPTH = 4
+# sites whose Sturm pivots one block of the count holds, at most 127;
+# at about 1000 shifts the block stays in cache
+_COUNT_BLOCK = 8
 # bracket width, relative to the Gershgorin scale, at which bisection
 # hands an isolated eigenvalue to Rayleigh-quotient steps
 _BRACKET_WIDTH = 1e-6
@@ -65,20 +72,34 @@ def _sturm_counts(d, e2, xs):
     must be positive, or 0 / 0 can arise.
     """
     xs = np.asarray(xs, dtype=float)
-    q = d[0] - xs
-    tmp = np.empty_like(q)
+    n = d.size
+    # pivots of _COUNT_BLOCK sites at a time, in a buffer reused in
+    # place: a block's rows start as d_i - x, each site then subtracts
+    # e2 / q of the row above it, and the sign bits are counted once per
+    # block.  The arithmetic stays that of q = d_i - x - e2 / q
+    q = np.empty((min(n, _COUNT_BLOCK),) + xs.shape)
+    # the block's rows as views made once, not once per site
+    pivot = list(q)
+    tmp = np.empty(xs.shape)
     negative = np.empty(q.shape, dtype=bool)
-    count = np.zeros(q.shape, dtype=np.int64)
-    # the buffers are reused in place; the arithmetic stays that of
-    # q = d_i - x - e2 / q, elementwise
+    count = np.zeros(xs.shape, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
-        for i in range(d.size):
-            if i:
-                np.divide(e2[i - 1], q, out=tmp)
-                np.subtract(d[i], xs, out=q)
-                q -= tmp
-            np.signbit(q, out=negative)
-            count += negative
+        for start in range(0, n, _COUNT_BLOCK):
+            rows = min(_COUNT_BLOCK, n - start)
+            if start:
+                # the last pivot of the block before, read before the
+                # block's rows overwrite it
+                np.divide(e2[start - 1], pivot[-1], out=tmp)
+            np.subtract(d[start:start + rows, None], xs, out=q[:rows])
+            if start:
+                pivot[0] -= tmp
+            for j in range(1, rows):
+                np.divide(e2[start + j - 1], pivot[j - 1], out=tmp)
+                pivot[j] -= tmp
+            # a pivot of -0.0 counts as negative, as its sign bit says;
+            # the signs of a block of at most 127 sites sum in int8
+            np.signbit(q[:rows], out=negative[:rows])
+            count += negative[:rows].view(np.int8).sum(axis=0, dtype=np.int8)
     return count
 
 
@@ -148,12 +169,13 @@ def _pivots(rows, e2s, pivmin=None):
     pivots = np.empty_like(rows)
     tmp = np.empty(rows.shape[1:])
     pivots[0] = rows[0]
-    for i in range(1, rows.shape[0]):
-        above = pivots[i - 1]
+    above = pivots[0]
+    for row, e2row, below in zip(rows[1:], e2s, pivots[1:]):
         if pivmin is not None:
             np.copyto(above, -pivmin, where=np.abs(above) <= pivmin)
-        np.divide(e2s[i - 1], above, out=tmp)
-        np.subtract(rows[i], tmp, out=pivots[i])
+        np.divide(e2row, above, out=tmp)
+        np.subtract(row, tmp, out=below)
+        above = below
     return pivots
 
 
@@ -176,8 +198,10 @@ def _twisted(d, e, e2, lam, pivmin):
     # progressive one on reversed rows
     a = d[:, None] - lam
     rows = np.stack((a, a[::-1]), axis=1)
-    e2s = np.broadcast_to(np.stack((e2, e2[::-1]), axis=1)[:, :, None],
-                          (n - 1,) + rows.shape[1:])
+    # the couplings are materialized per shift: a division reads a
+    # contiguous row faster than a stride-0 view
+    e2s = np.repeat(np.stack((e2, e2[::-1]), axis=1)[:, :, None], lam.size,
+                    axis=2)
     # where every pivot that divides stays beyond pivmin the clamp never
     # acts; only the other recurrences, NaN included, are rerun clamped
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -193,19 +217,23 @@ def _twisted(d, e, e2, lam, pivmin):
     twist = np.argmin(np.abs(gamma), axis=0)
     gamma = gamma[twist, np.arange(lam.size)]
     # ratios z_i / z_{i+1} above the twist and z_i / z_{i-1} below it;
-    # ones elsewhere, so two running products meet at z_r = 1
+    # ones elsewhere, so two running products meet at z_r = 1.  The
+    # masks cover up's last row and down's first, which no ratio fills
     site = np.arange(n)[:, None]
-    up = np.ones_like(a)
-    up[:-1] = -e[:, None] / top[:-1]
-    up[site >= twist] = 1.0
-    down = np.ones_like(a)
-    down[1:] = -e[:, None] / bottom[1:]
-    down[site <= twist] = 1.0
+    minus_e = -e[:, None]
+    up = np.empty_like(a)
+    np.divide(minus_e, top[:-1], out=up[:-1])
+    np.copyto(up, 1.0, where=site >= twist)
+    down = np.empty_like(a)
+    np.divide(minus_e, bottom[1:], out=down[1:])
+    np.copyto(down, 1.0, where=site <= twist)
     # a shift far from every eigenvalue may overflow; its row then
     # fails the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.cumprod(up[::-1], axis=0)[::-1] * np.cumprod(down, axis=0)
-        z = np.ascontiguousarray(z.T)
+        np.multiply.accumulate(up[::-1], axis=0, out=up[::-1])
+        np.multiply.accumulate(down, axis=0, out=down)
+        up *= down
+        z = np.ascontiguousarray(up.T)
         norm2 = np.einsum("kn,kn->k", z, z)
         norm = np.sqrt(norm2)
         return gamma / norm2, z / norm[:, None], np.abs(gamma) / norm

@@ -14,6 +14,7 @@ invert_spectral rebuilds b by Lanczos from the weights 1 / rho_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +253,9 @@ def invert_spectral(sd):
     diagonal -b (de Boor & Golub, Linear Algebra Appl. 21, 1978)
     without the ill-conditioned moments; each new vector is
     Gram-Schmidt reorthogonalized twice against all earlier ones.
+    Raises ValueError when a Lanczos vector's norm is not finite and
+    positive, as when eigenvalues near the float range overflow it:
+    the basis is then not orthonormal.
     """
     if not isinstance(sd, SpectralData):
         raise ValueError("sd must be SpectralData")
@@ -260,9 +264,17 @@ def invert_spectral(sd):
     Q = np.empty((N, N))
     Q[0] = np.sqrt(1.0 / sd.norming)
     Q[0] /= np.sqrt(Q[0] @ Q[0])
-    for n in range(N - 1):
-        v = lam * Q[n]
-        for _ in range(2):
-            v -= (Q[:n + 1] @ v) @ Q[:n + 1]
-        Q[n + 1] = v / np.sqrt(v @ v)
+    norms = []
+    # a norm that overflows or vanishes fails the check below, not as a
+    # warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(N - 1):
+            v = lam * Q[n]
+            for _ in range(2):
+                v -= (Q[:n + 1] @ v) @ Q[:n + 1]
+            norms.append(math.sqrt(v @ v))
+            Q[n + 1] = v / norms[-1]
+    if not all(0.0 < norm < math.inf for norm in norms):
+        raise ValueError("spectral data give no orthonormal Lanczos basis "
+                         "in float range")
     return -((Q * Q) @ lam)

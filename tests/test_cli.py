@@ -27,6 +27,16 @@ def write_doc(path, kind, values, meta=None):
     return str(path)
 
 
+def run_in_subprocess(*argv):
+    """lattice-bc in a separate interpreter, with the default warning
+    filters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "lattice_bc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.fixture
 def pot_file(tmp_path):
     return write_doc(tmp_path / "pot.json", "potential", [1.0, 0.0])
@@ -353,14 +363,8 @@ class TestRoundtrip:
                 roundtrip_report(0, 2, 4, float(amplitude))
 
     def test_kernel_that_overflows_exits_2_without_warnings(self):
-        # a separate interpreter, with the default warning filters
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "lattice_bc.cli", "roundtrip",
-             "--instances", "2", "--horizon", "3", "--amplitude", "1e200"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_in_subprocess("roundtrip", "--instances", "2",
+                                 "--horizon", "3", "--amplitude", "1e200")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: kernel contains non-finite entries\n")
         # in process, pytest turns RuntimeWarning into an error
@@ -453,6 +457,41 @@ class TestDeeplyNestedInput:
         with mock.patch("sys.stdin", io.StringIO(self.TEXT)):
             assert main(["invert", "--kernel", "-"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid JSON:")
+
+
+class TestNonFiniteResults:
+    """Commands whose arithmetic overflows exit 2 with one error line
+    and no numpy warning."""
+
+    POTENTIAL = '{"kind": "potential", "values": [1e200, 1e200, 1e200]}'
+
+    @pytest.mark.parametrize("args, error", [
+        (["response", "--potential", "{pot}", "--order", "6"],
+         "cannot serialize non-finite number"),
+        (["connect", "--potential", "{pot}", "--horizon", "3",
+          "--via-waves"], "cannot serialize non-finite number"),
+        (["connect", "--potential", "{pot}", "--horizon", "3", "--verify"],
+         "kernel contains non-finite entries"),
+        (["forward", "--potential", "{pot}", "--control", "{ctl}"],
+         "cannot serialize non-finite number"),
+        (["spectral-invert", "--spectral", "{spec}"],
+         "spectral data give no orthonormal Lanczos basis in float range"),
+    ], ids=["response", "connect-via-waves", "connect-verify", "forward",
+            "spectral-invert"])
+    def test_exits_2_with_one_error_line(self, tmp_path, args, error):
+        paths = {"pot": tmp_path / "p.json", "ctl": tmp_path / "c.json",
+                 "spec": tmp_path / "s.json"}
+        paths["pot"].write_text(self.POTENTIAL)
+        paths["ctl"].write_text(
+            '{"kind": "control", "values": [1, 2, 3, 4, 5]}')
+        # unit mass, so only the Lanczos norm, which overflows, is wrong
+        paths["spec"].write_text(
+            '{"kind": "spectral", "values": [[1e300, 2.0], [1.5e300, 2.0]]}')
+        proc = run_in_subprocess(
+            *(a.format(**{k: str(v) for k, v in paths.items()})
+              for a in args))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: {error}\n")
 
 
 GOLDEN = ROOT / "tests" / "golden"

@@ -8,6 +8,8 @@ eigen_decompose must agree with the decimal one-eigenvalue-at-a-time
 reference in tests/helpers.py.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,6 +282,26 @@ class TestKernels:
             assert np.array_equal(alone, (fine[0][one], fine[1][one]))
         assert np.all(upper - lower <= 1e-6 * scale)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 64])
+    def test_sturm_counts_match_site_by_site(self, n):
+        # the count runs a block of sites at a time; the sizes put the
+        # last site on, before and after a block edge.  Shifts at each
+        # d_i make a pivot exactly 0 and the next one infinite; with
+        # -0.0 at every even site, shift 0 makes every even pivot -0.0,
+        # which counts as negative
+        rng = np.random.default_rng(15)
+        split = rng.uniform(0.25, 2.0, n - 1)
+        split[::3] = 0.0
+        for d in (rng.uniform(-1.0, 1.0, n),
+                  np.where(np.arange(n) % 2, rng.uniform(-1.0, 1.0, n),
+                           -0.0)):
+            for e2 in (rng.uniform(0.25, 2.0, n - 1),
+                       np.maximum(split, np.finfo(float).tiny)):
+                xs = np.concatenate((d, [0.0], rng.uniform(-3.0, 3.0, 40)))
+                got = linalg._sturm_counts(d, e2, xs)
+                want = [site_by_site_count(d, e2, x) for x in xs.tolist()]
+                assert got.tolist() == want
+
     def test_twisted_columns_are_independent(self):
         # shift d[0] makes the first stationary pivot exactly 0; shift 0
         # makes it 1e-40, within pivmin but not zero, and makes the
@@ -300,6 +322,21 @@ class TestKernels:
         check_twisted(d, e, lam, clamped=(-2, -1))
         d, e = d[:6], np.append(e[:4], 0.0)
         check_twisted(d, e, np.array([0.5, d[-1]]), clamped=(-1,))
+
+
+def site_by_site_count(d, e2, x):
+    """Pivots q_i = d_i - x - e2_{i-1} / q_{i-1} with a set sign bit, in
+    IEEE arithmetic: a zero pivot makes the next one infinite."""
+    count = 0
+    q = 0.0
+    for i, di in enumerate(d.tolist()):
+        if i == 0:
+            q = di - x
+        else:
+            c = float(e2[i - 1])
+            q = di - x - (c / q if q else math.copysign(math.inf, q))
+        count += math.copysign(1.0, q) < 0
+    return count
 
 
 def check_twisted(d, e, lam, clamped):

@@ -388,6 +388,16 @@ class TestInvertSpectral:
             sd = eigen_decompose(build_hamiltonian(b, 64))
             assert np.max(np.abs(invert_spectral(sd) - b)) <= 1e-6
 
+    @pytest.mark.parametrize("scale", [1e300, 1e200])
+    def test_lanczos_overflow_raises(self, scale):
+        # unit mass, but lambda * q overflows the Lanczos norm to inf,
+        # which would zero the next vector; pytest turns a leaked
+        # RuntimeWarning into an error
+        sd = SpectralData(eigenvalues=[scale, 1.5 * scale],
+                          norming=[2.0, 2.0])
+        with pytest.raises(ValueError, match="no orthonormal Lanczos basis"):
+            invert_spectral(sd)
+
     def test_interval_fourier_consistency(self):
         # delta-probe boundary data synthesized spectrally equals the
         # time-stepped interval solution for t <= 3N
