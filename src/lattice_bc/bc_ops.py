@@ -11,7 +11,12 @@ solvers factor straight from r without assembling it.
 Kernels of many potentials come from one Goursat fill over an (M, L)
 stack of potentials (_response_kernels, which the round-trip report
 calls once per block of instances); response_kernel is its M = 1 case,
-so a stacked row and a single call give the same bits.
+so a stacked row and a single call give the same bits.  The fill keeps
+the stack axis last and a band of ceil(K/2) sites behind a zero wall:
+r_K is the boundary echo of a wave that travelled at most ceil(K/2)
+sites out and back, so the wall changes no bit of r_0..r_K, and the
+sites beyond the band are never read.  control_matrix reads the whole
+table of order T - 1 from the same fill, with a band of T - 1 sites.
 """
 
 from __future__ import annotations
@@ -28,15 +33,15 @@ def _response_kernels(b, K):
 
     b is an (M, L) float array; returns the (M, K + 1) kernels from one
     Goursat fill over the whole stack, each row the same bits as
-    response_kernel(b[m], K).
+    response_kernel(b[m], K).  The fill keeps a band of ceil(K/2)
+    sites: waves move one site per step, so r_s = w_{1,s} is exact for
+    s <= 2 ceil(K/2) >= K, and sites beyond the band are never read.
     """
     M = b.shape[0]
     r = np.zeros((M, K + 1))
     if K >= 1:
-        bp = np.zeros((M, K))
-        bp[:, :min(b.shape[1], K)] = b[:, :K]
-        for s, w in enumerate(_goursat_steps(bp, K)):
-            r[:, s] = w[:, 1]
+        for s, w in enumerate(_goursat_steps(b, K, (K + 1) // 2)):
+            r[:, s] = w[1]
     r[:, 0] = 1.0
     return r
 
@@ -45,8 +50,10 @@ def response_kernel(b, K):
     """Kernel prefix (r_0, ..., r_K) for the potential b.
 
     r_0 = 1 exactly; deeper entries come from the triangular kernel's
-    first row.  The potential is zero-padded as needed; entries beyond
-    b_ceil(K/2) cannot influence the returned prefix.
+    first row.  The potential is zero-padded as needed.  The fill reads
+    only b_1 .. b_ceil(K/2), the sites a wave can reach and return from
+    by time K: entries beyond them cannot influence the returned prefix,
+    nor overflow while it is computed.
     """
     K = check_count(K, 0, "kernel order must be nonnegative")
     b = as_float_array(b, "potential") if K >= 1 else np.zeros(0)

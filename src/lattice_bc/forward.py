@@ -10,6 +10,14 @@ boundary control u_{0,t} = f_t injected at the virtual site n = 0.
 Signals propagate one site per step, so u_{n,t} = 0 for n > t and a
 horizon-T simulation never sees sites beyond n = T: truncating the
 half-line at n = T is exact, not an approximation.
+
+The Goursat fill of the triangular kernel w rests on the same fact.  It
+steps (rows + 2, M) slabs over a stack of M potentials, with the stack
+axis last: sites 1..rows form a fixed band and site rows + 1 is a zero
+wall.  A wrong value at the wall needs one step per site to travel
+back, so the first row w_{1,s} = r_s is exact for s <= 2 rows, and the
+whole wedge is exact for orders up to rows.  A kernel of order K thus
+needs only ceil(K/2) sites, and a table of order S needs S.
 """
 
 from __future__ import annotations
@@ -107,28 +115,41 @@ def solve_semi_infinite(b, f, T):
     return WaveField(field.values[:T + 1])
 
 
-def _goursat_steps(b, S):
+def _goursat_steps(b, S, rows):
     """The kernel tables of a stack of potentials, one time step at a time.
 
-    b is an (M, >= S) float array.  Yields, for s = 0..S, the (M, S + 1)
-    slab w_s with w_s[m, n] = w_{n,s} for the potential b[m].  Step s
-    reads only w_{s-1} and w_{s-2}, so three slabs rotate and memory
-    stays O(M S) whatever the order; a yielded slab is rewritten three
-    steps on, so the caller copies what it keeps.  Every entry is the
-    same arithmetic as a fill of that potential alone.
+    b is an (M, L) float array, zero-padded or cut to its first rows
+    sites.  Yields, for s = 0..S, the (rows + 2, M) slab w_s with
+    w_s[n, m] = w_{n,s} for the potential b[m]: the stack axis is last,
+    sites 1..rows form a fixed band, and row rows + 1 is a zero wall.
+    The wall is exact while no wave reaches it: w_{n,s} has the bits of
+    the untruncated fill for n + s <= 2 rows + 1, so every entry of the
+    wedge when S <= rows, and the first row w_{1,s} for s <= 2 rows.
+    Step s reads only w_{s-1} and w_{s-2}, so three slabs rotate, their
+    shifted views are made once, and memory stays O(M rows); a yielded
+    slab is rewritten three steps on, so the caller copies what it
+    keeps.  Every entry is the same arithmetic as a fill of that
+    potential alone, and for finite b the entries outside the wedge
+    (n > s) stay +0.0.
     """
     M = b.shape[0]
-    diag = -np.cumsum(b[:, :S], axis=1)
-    older, last, new = (np.zeros((M, S + 1)) for _ in range(3))
+    band = np.zeros((rows, M))
+    band[:min(b.shape[1], rows)] = b[:, :rows].T
+    diag = -np.cumsum(band, axis=0)
+    tmp = np.empty((rows, M))
+    slabs = [np.zeros((rows + 2, M)) for _ in range(3)]
+    # (slab, its band n, the band's neighbours n + 1 and n - 1)
+    older, last, new = ((x, x[1:rows + 1], x[2:], x[:rows]) for x in slabs)
     for s in range(S + 1):
-        # the slab of step s - 3 is nonzero only on 1..s-3, all rewritten
+        slab, here = new[:2]
         if s >= 2:
-            new[:, 1:s] = (last[:, 2:s + 1] + last[:, 0:s - 1]
-                           - b[:, 0:s - 1] * last[:, 1:s]
-                           - older[:, 1:s])
-        if s:
-            new[:, s] = diag[:, s - 1]
-        yield new
+            np.add(last[2], last[3], out=here)
+            np.multiply(band, last[1], out=tmp)
+            here -= tmp
+            here -= older[1]
+        if 1 <= s <= rows:
+            slab[s] = diag[s - 1]
+        yield slab
         older, last, new = last, new, older
 
 
@@ -142,15 +163,18 @@ def solve_goursat(b, S):
 
     with w_{0,s} = 0 and implicit zeros below the diagonal.  Requires
     len(b) >= S since b_S enters the last diagonal entry.  This is the
-    one-potential case of the stacked fill behind bc_ops's kernels,
-    with every step kept.
+    one-potential case of the fill behind bc_ops's kernels, with a band
+    of S sites, so its wall at S + 1 lies beyond the wedge, and with
+    every step kept.
     """
     S = check_horizon(S, "order")
     b = as_float_array(b, "potential")
     if b.size < S:
         raise ValueError("potential too short for requested order")
-    steps = [w[0].copy() for w in _goursat_steps(b[None], S)]
-    return GoursatKernel(np.ascontiguousarray(np.array(steps).T))
+    table = np.empty((S + 1, S + 1))
+    for s, w in enumerate(_goursat_steps(b[None], S, S)):
+        table[:, s] = w[:S + 1, 0]
+    return GoursatKernel(table)
 
 
 def apply_representation(kernel, f, n, t):

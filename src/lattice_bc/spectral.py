@@ -245,6 +245,14 @@ def spectral_measure(sd):
                            weights=1.0 / sd.norming)
 
 
+# Lanczos on the weights of a unit-coupled Jacobi matrix rebuilds its
+# off-diagonal, so every norm beta_n is 1 up to rounding: about 1e-12
+# on random potentials and at most 0.06 on tight clusters of wells.
+# A coupling farther from 1 than this means the data belong to no
+# unit-coupled matrix, whatever diagonal Lanczos returns.
+_COUPLING_TOL = 0.5
+
+
 def invert_spectral(sd):
     """Recover (b_1, ..., b_N) from spectral data of size N.
 
@@ -255,7 +263,10 @@ def invert_spectral(sd):
     Gram-Schmidt reorthogonalized twice against all earlier ones.
     Raises ValueError when a Lanczos vector's norm is not finite and
     positive, as when eigenvalues near the float range overflow it:
-    the basis is then not orthonormal.
+    the basis is then not orthonormal.  Raises ValueError too when a
+    norm, which is a coupling beta_n of the rebuilt matrix, is farther
+    than _COUPLING_TOL from 1: such data have unit mass but are the
+    spectral data of no unit-coupled Jacobi matrix.
     """
     if not isinstance(sd, SpectralData):
         raise ValueError("sd must be SpectralData")
@@ -277,4 +288,7 @@ def invert_spectral(sd):
     if not all(0.0 < norm < math.inf for norm in norms):
         raise ValueError("spectral data give no orthonormal Lanczos basis "
                          "in float range")
+    if any(abs(norm - 1.0) > _COUPLING_TOL for norm in norms):
+        raise ValueError("spectral data give Lanczos couplings far from 1: "
+                         "not the data of a unit-coupled Jacobi matrix")
     return -((Q * Q) @ lam)

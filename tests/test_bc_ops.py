@@ -73,6 +73,15 @@ class TestResponseKernel:
         assert np.array_equal(response_kernel(base, K),
                               response_kernel(tail, K))
 
+    def test_sites_beyond_the_band_neither_reach_nor_warn(self):
+        # b_8 lies beyond the ceil(10/2) = 5 sites that r_0..r_10 can
+        # feel: the fill does not read it, so it neither changes a bit
+        # nor overflows (pytest turns a RuntimeWarning into an error)
+        b = np.zeros(12)
+        quiet = response_kernel(b, 10)
+        b[7] = 1e300
+        assert response_kernel(b, 10).tobytes() == quiet.tobytes()
+
     def test_zero_order(self):
         assert np.array_equal(response_kernel([3.0], 0), [1.0])
 

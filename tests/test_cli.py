@@ -269,6 +269,15 @@ class TestSpectral:
         assert main([command, flag, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_coupling_far_from_one_exits_2(self, tmp_path):
+        # unit mass, but the Lanczos coupling is 5, not 1
+        sfile = tmp_path / "s.json"
+        sfile.write_text('{"kind": "spectral", "values": [[0, 2], [10, 2]]}')
+        proc = run_in_subprocess("spectral-invert", "--spectral", str(sfile))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: spectral data give Lanczos couplings far from 1: "
+                   "not the data of a unit-coupled Jacobi matrix\n")
+
     def test_bad_mass_rejected(self, tmp_path, capsys):
         sfile = tmp_path / "s.json"
         files.write_text(files.dumps_json(

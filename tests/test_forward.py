@@ -1,10 +1,13 @@
 """Forward dynamics: half-line solver, triangular kernel, interval solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from lattice_bc.bc_ops import _response_kernels
 from lattice_bc.forward import (_goursat_steps, apply_representation,
                                 solve_goursat, solve_interval,
                                 solve_semi_infinite,
@@ -138,16 +141,18 @@ class TestGoursat:
         with pytest.raises(ValueError):
             solve_goursat([1.0, 2.0], 3)
 
-    @given(rows=st.integers(1, 5), S=st.integers(1, 40),
+    @given(M=st.integers(1, 5), S=st.integers(1, 40),
            amplitude=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
-    def test_stacked_fill_rows_are_single_fills(self, rows, S, amplitude,
-                                               seed):
+    def test_stacked_fill_rows_are_single_fills(self, M, S, amplitude, seed):
+        # slabs are (sites 0..S plus the wall, stack), one per step
         b = np.random.default_rng(seed).uniform(-amplitude, amplitude,
-                                                (rows, S + 2))
-        w = np.array([slab.copy() for slab in _goursat_steps(b, S)])
-        assert w.shape == (S + 1, rows, S + 1)
-        for m in range(rows):
-            assert np.array_equal(w[:, m].T, solve_goursat(b[m], S).table)
+                                                (M, S + 2))
+        w = np.array([slab.copy() for slab in _goursat_steps(b, S, S)])
+        assert w.shape == (S + 1, S + 2, M)
+        assert w[:, S + 1].tobytes() == np.zeros((S + 1, M)).tobytes()
+        for m in range(M):
+            assert np.array_equal(w[:, :S + 1, m].T,
+                                  solve_goursat(b[m], S).table)
 
     def test_value_accessor(self):
         w = solve_goursat([1.0, 1.0], 2)
@@ -155,6 +160,65 @@ class TestGoursat:
         assert w.value(1, 2) == 1.0
         with pytest.raises(ValueError):
             w.value(1, 3)
+
+
+def scalar_fill(b, S):
+    """w_{n,s}, 0 <= n, s <= S, of b cut or zero-padded to S sites: the
+    Goursat recurrence one entry at a time over the whole triangle, in
+    Python floats, with the fill's operation order."""
+    b = [float(x) for x in b[:S]] + [0.0] * (S - min(len(b), S))
+    total = list(itertools.accumulate(b))
+    w = [[0.0] * (S + 1) for _ in range(S + 1)]
+    for s in range(1, S + 1):
+        for n in range(1, s):
+            w[n][s] = (((w[n + 1][s - 1] + w[n - 1][s - 1])
+                        - b[n - 1] * w[n][s - 1]) - w[n][s - 2])
+        w[s][s] = -total[s - 1]
+    return np.array(w)
+
+
+def scalar_kernels(b, K):
+    """(r_0, ..., r_K) of each row of b from the full scalar triangle."""
+    r = np.zeros((len(b), K + 1))
+    r[:, 0] = 1.0
+    if K >= 1:
+        for m, row in enumerate(b):
+            r[m, 1:] = scalar_fill(row, K)[1, 1:]
+    return r
+
+
+class TestBandedFill:
+    """The fill keeps ceil(K/2) sites behind a zero wall for a kernel of
+    order K, and S sites for a table of order S; every entry it returns
+    has the bits of the scalar recurrence over the whole triangle."""
+
+    @pytest.mark.parametrize("M", [1, 3, 64])
+    @pytest.mark.parametrize("K", [0, 1, 2, 3, 12, 13, 30, 31])
+    def test_kernels_match_scalar_triangle(self, K, M):
+        rng = np.random.default_rng(1000 * K + M)
+        for length in (K // 3, K + 5):
+            b = rng.uniform(-1.5, 1.5, (M, length))
+            r = _response_kernels(b, K)
+            assert r.tobytes() == scalar_kernels(b, K).tobytes()
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 12, 13, 30])
+    def test_tables_match_scalar_triangle(self, S):
+        rng = np.random.default_rng(S)
+        for length in (S, S + 4):
+            b = rng.uniform(-1.5, 1.5, length)
+            table = solve_goursat(b, S).table
+            assert table.tobytes() == scalar_fill(b, S).tobytes()
+
+    def test_overflowing_fill_matches_scalar_triangle(self):
+        # entries overflow to inf and then to nan inside the wedge; the
+        # band gives them the same bits, nan payloads included
+        b = np.random.default_rng(5).uniform(-1e100, 1e100, (3, 25))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _response_kernels(b, 25)
+            table = solve_goursat(b[0], 25).table
+        assert np.isinf(r).any() and np.isnan(r).any()
+        assert r.tobytes() == scalar_kernels(b, 25).tobytes()
+        assert table.tobytes() == scalar_fill(b[0], 25).tobytes()
 
 
 class TestRepresentation:

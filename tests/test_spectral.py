@@ -398,6 +398,13 @@ class TestInvertSpectral:
         with pytest.raises(ValueError, match="no orthonormal Lanczos basis"):
             invert_spectral(sd)
 
+    def test_coupling_far_from_one_raises(self):
+        # unit mass, but Lanczos rebuilds the coupling 5 between the two
+        # sites: no unit-coupled Jacobi matrix has these data
+        sd = SpectralData(eigenvalues=[0.0, 10.0], norming=[2.0, 2.0])
+        with pytest.raises(ValueError, match="couplings far from 1"):
+            invert_spectral(sd)
+
     def test_interval_fourier_consistency(self):
         # delta-probe boundary data synthesized spectrally equals the
         # time-stepped interval solution for t <= 3N
