@@ -94,13 +94,8 @@ REPORT_SIZES = (25, 500)
 
 def clear_shared():
     """Empty what the inversion functions share between calls: the
-    cache of answers, or the single recursion slot of libraries that
-    predate it."""
-    cached = getattr(inversion, "_cached_answers", None)
-    if cached is not None:
-        cached.cache_clear()
-    else:
-        inversion._slot = None
+    cache of answers."""
+    inversion._cached_answers.cache_clear()
 
 
 def best_ms(fn, *args):

@@ -109,10 +109,9 @@ def control_matrix(b, T):
     W = np.zeros((T, T))
     W[np.arange(T), T - 1 - np.arange(T)] = 1.0
     if T >= 2:
-        w = solve_goursat(b, T - 1)
-        for n in range(1, T):
-            s = np.arange(n, T)
-            W[n - 1, T - 1 - s] += w.table[n, s]
+        # row n adds u_{n,s} at column T - 1 - s; the table is +0.0
+        # below the wedge s >= n, so those entries add nothing
+        W[:-1] += solve_goursat(b, T - 1).table[1:, ::-1]
     return W
 
 

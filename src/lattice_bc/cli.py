@@ -4,8 +4,14 @@ Exit codes: 0 success, 2 unreadable input or violated precondition,
 3 inadmissible response data, 4 numerical degeneracy (vanishing Krein
 trace, eigendata that fail their collision, finiteness or residual
 check).  All randomness flows through numpy's default_rng (PCG64)
-seeded from --seed, and floats are serialized with 17 significant
-digits, so identical invocations produce identical bytes.
+seeded from roundtrip's --seed, and floats are serialized with 17
+significant digits, so identical invocations produce identical bytes.
+
+Each flag is attached only to the subcommands that read it: --output
+to all of them, --tol-det and --tol-pivot to invert, characterize and
+roundtrip (the admissibility test), --tol-eig to spectral, --seed to
+roundtrip, and --alpha/--beta, given only with --method krein, to
+invert.  The tolerance defaults are the field defaults of Tolerances.
 """
 
 from __future__ import annotations
@@ -39,9 +45,8 @@ _METHODS = ("factorization", "gelfand-levitan", "krein")
 _BLOCK = 64
 
 
-def _tolerances(args):
-    return Tolerances(det_tol=args.tol_det, pivot_tol=args.tol_pivot,
-                      eig_tol=args.tol_eig)
+def _admissibility(args):
+    return Tolerances(det_tol=args.tol_det, pivot_tol=args.tol_pivot)
 
 
 def _load(path, expect, what):
@@ -126,17 +131,22 @@ def cmd_connect(args):
 
 
 def cmd_invert(args):
+    # only the given boundary data reach KreinConfig, whose defaults
+    # stand for the others
+    boundary = {name: value for name, value in
+                (("alpha", args.alpha), ("beta", args.beta))
+                if value is not None}
+    if boundary and args.method != "krein":
+        raise ValueError("--alpha and --beta apply only to --method krein")
     pf = _load(args.kernel, ("kernel",), "kernel")
     T = _default_horizon(args, pf.values.size)
-    tol = _tolerances(args)
-    verdict = characterize_response(pf.values, T, tol)
+    verdict = characterize_response(pf.values, T, _admissibility(args))
     if not verdict.admissible:
         print(f"error: kernel inadmissible at order "
               f"{verdict.first_failing_order}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     if args.method == "krein":
-        config = KreinConfig(alpha=args.alpha, beta=args.beta)
-        b = invert_krein(pf.values, T, config)
+        b = invert_krein(pf.values, T, KreinConfig(**boundary))
     elif args.method == "factorization":
         b = invert_factorization(pf.values, T)
     else:
@@ -150,7 +160,7 @@ def cmd_invert(args):
 def cmd_characterize(args):
     pf = _load(args.kernel, ("kernel",), "kernel")
     T = _default_horizon(args, pf.values.size)
-    verdict = characterize_response(pf.values, T, _tolerances(args))
+    verdict = characterize_response(pf.values, T, _admissibility(args))
     doc = {
         "kind": "characterization",
         "admissible": verdict.admissible,
@@ -167,7 +177,7 @@ def cmd_spectral(args):
     pf = _load(args.potential, ("potential",), "potential")
     N = args.size if args.size is not None else pf.values.size
     H = build_hamiltonian(pf.values, N)
-    sd = eigen_decompose(H, _tolerances(args))
+    sd = eigen_decompose(H, Tolerances(eig_tol=args.tol_eig))
     _emit_json(files.spectral_problem(sd), args)
     return EXIT_OK
 
@@ -269,25 +279,24 @@ def cmd_roundtrip(args):
     # error reported when both are wrong
     _check_roundtrip(args.instances, args.horizon, args.amplitude)
     report = roundtrip_report(args.seed, args.instances, args.horizon,
-                              args.amplitude, _tolerances(args))
+                              args.amplitude, _admissibility(args))
     _emit_json(report, args)
     return EXIT_OK
 
 
 @functools.cache
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", default=None, metavar="PATH",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, metavar="PATH",
                         help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="PCG64 seed for randomized commands")
-    common.add_argument("--tol-det", type=float, default=1e-9,
-                        help="unit-determinant admissibility slack")
-    common.add_argument("--tol-pivot", type=float, default=1e-12,
-                        help="positivity floor for elimination pivots")
-    common.add_argument("--tol-eig", type=float, default=1e-10,
-                        help="largest eigenpair residual bound accepted, "
-                             "relative to |H|")
+    admissibility = argparse.ArgumentParser(add_help=False)
+    admissibility.add_argument("--tol-det", type=float,
+                               default=Tolerances.det_tol,
+                               help="unit-determinant admissibility slack")
+    admissibility.add_argument("--tol-pivot", type=float,
+                               default=Tolerances.pivot_tol,
+                               help="positivity floor for elimination "
+                                    "pivots")
 
     parser = argparse.ArgumentParser(
         prog="lattice-bc",
@@ -295,7 +304,7 @@ def build_parser():
                     "Schrodinger lattice.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forward", parents=[common],
+    p = sub.add_parser("forward", parents=[output],
                        help="simulate the controlled lattice")
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--control", required=True, metavar="FILE")
@@ -303,14 +312,14 @@ def build_parser():
                    help="finite interval size (default: half-line)")
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("response", parents=[common],
+    p = sub.add_parser("response", parents=[output],
                        help="response kernel of a potential")
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--order", type=int, required=True, metavar="K",
                    help="deepest kernel index to compute")
     p.set_defaults(func=cmd_response)
 
-    p = sub.add_parser("connect", parents=[common],
+    p = sub.add_parser("connect", parents=[output],
                        help="connecting matrix from a kernel or potential")
     p.add_argument("--kernel", default=None, metavar="FILE")
     p.add_argument("--potential", default=None, metavar="FILE")
@@ -321,43 +330,48 @@ def build_parser():
                    help="compare the kernel and wave routes")
     p.set_defaults(func=cmd_connect)
 
-    p = sub.add_parser("invert", parents=[common],
+    p = sub.add_parser("invert", parents=[output, admissibility],
                        help="recover the potential from a kernel")
     p.add_argument("--kernel", required=True, metavar="FILE")
     p.add_argument("--horizon", type=int, default=None, metavar="T",
                    help="default: largest horizon the kernel covers")
     p.add_argument("--method", choices=_METHODS,
                    default="factorization")
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="Krein boundary datum y_0")
-    p.add_argument("--beta", type=float, default=1.0,
-                   help="Krein boundary datum y_1")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="Krein boundary datum y_0 (default 0)")
+    p.add_argument("--beta", type=float, default=None,
+                   help="Krein boundary datum y_1 (default 1)")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("characterize", parents=[common],
+    p = sub.add_parser("characterize", parents=[output, admissibility],
                        help="test a kernel prefix for admissibility")
     p.add_argument("--kernel", required=True, metavar="FILE")
     p.add_argument("--horizon", type=int, default=None, metavar="T")
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("spectral", parents=[common],
+    p = sub.add_parser("spectral", parents=[output],
                        help="eigenvalues and norming constants")
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--size", type=int, default=None, metavar="N",
                    help="interval size (default: potential length)")
+    p.add_argument("--tol-eig", type=float, default=Tolerances.eig_tol,
+                   help="largest eigenpair residual bound accepted, "
+                        "relative to |H|")
     p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("spectral-invert", parents=[common],
+    p = sub.add_parser("spectral-invert", parents=[output],
                        help="recover the potential from spectral data")
     p.add_argument("--spectral", required=True, metavar="FILE")
     p.set_defaults(func=cmd_spectral_invert)
 
-    p = sub.add_parser("roundtrip", parents=[common],
+    p = sub.add_parser("roundtrip", parents=[output, admissibility],
                        help="randomized kernel round-trip report")
     p.add_argument("--instances", type=int, required=True, metavar="M")
     p.add_argument("--horizon", type=int, required=True, metavar="T")
     p.add_argument("--amplitude", type=float, default=1.0,
                    help="potential draws are uniform on [-a, a]")
+    p.add_argument("--seed", type=int, default=0,
+                   help="PCG64 seed of the draws")
     p.set_defaults(func=cmd_roundtrip)
 
     return parser

@@ -23,6 +23,9 @@ class Tolerances:
     eig_tol   : largest eigenpair residual bound accepted, relative to
                 |H| (|gamma_r| / |z| of the twisted factorization, or
                 the residual itself after a Gram-Schmidt pass).
+
+    The field defaults are also the defaults of the command-line flags
+    --tol-det, --tol-pivot and --tol-eig.
     """
 
     det_tol: float = 1e-9
@@ -116,9 +119,6 @@ def kappa_seq(T):
     the Krein solver needs.  Values cycle through 0, +1, 0, -1.
     """
     T = check_horizon(T)
-    out = np.zeros(T + 1)
-    out[T] = 0.0
-    out[T - 1] = 1.0
-    for t in range(T - 1, 0, -1):
-        out[t - 1] = -out[t + 1]
-    return out[:T]
+    # kappa_{T-1-j} for j = 0, 1, 2, 3 (mod 4), with the zero signs of
+    # the backward recursion from kappa_T = +0.0
+    return np.array([1.0, -0.0, -1.0, 0.0])[(T - 1 - np.arange(T)) % 4]

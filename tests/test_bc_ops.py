@@ -11,7 +11,7 @@ from lattice_bc.bc_ops import (_response_kernels, apply_response,
                                connecting_via_waves, control_matrix,
                                response_kernel, rotated_connecting)
 from lattice_bc.core import Tolerances
-from lattice_bc.forward import solve_semi_infinite
+from lattice_bc.forward import solve_goursat, solve_semi_infinite
 
 int_seq = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=12)
 
@@ -206,6 +206,22 @@ class TestControlMatrix:
     def test_short_potential_rejected(self):
         with pytest.raises(ValueError):
             control_matrix([1.0], 3)
+
+    @pytest.mark.parametrize("amplitude", [0.1, 3.0, 1e100])
+    def test_bytes_are_the_row_loop(self, amplitude):
+        # rows n = 1..T-1 add w_{n,s}, s >= n, one entry at a time; at
+        # 1e100 the wedge holds inf and nan
+        rng = np.random.default_rng(35)
+        for T in (1, 2, 3, 8, 17):
+            b = amplitude * rng.uniform(-1, 1, T + 1)
+            with np.errstate(all="ignore"):
+                W = control_matrix(b, T)
+                table = solve_goursat(b, max(T - 1, 1)).table
+            want = np.flip(np.eye(T), 1)
+            for n in range(1, T):
+                for s in range(n, T):
+                    want[n - 1, T - 1 - s] += table[n, s]
+            assert W.tobytes() == want.tobytes()
 
 
 class TestConnecting:

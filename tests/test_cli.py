@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +176,41 @@ class TestInvert:
                      "--beta", "1.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["values"] == pytest.approx(list(b), abs=1e-8)
+
+    @pytest.mark.parametrize("extra", [
+        ["--alpha", "0.3"], ["--beta", "1.2"],
+        ["--method", "factorization", "--alpha", "0"],
+        ["--method", "gelfand-levitan", "--alpha", "1", "--beta", "1"],
+    ])
+    def test_boundary_data_without_krein_exit_2(self, tmp_path, capsys,
+                                                extra):
+        ker = write_doc(tmp_path / "k.json", "kernel", [1.0, -1.0, 1.0])
+        assert main(["invert", "--kernel", ker] + extra) == 2
+        assert capsys.readouterr() == (
+            "", "error: --alpha and --beta apply only to --method krein\n")
+
+    def test_krein_default_boundary_data_are_the_config_defaults(
+            self, tmp_path, capsys):
+        r = response_kernel(np.array([0.3, -0.2, 0.5]), 6)
+        ker = write_doc(tmp_path / "k.json", "kernel", r)
+        outputs = []
+        for extra in ([], ["--alpha", "0", "--beta", "1"], ["--alpha", "0"],
+                      ["--beta", "1"]):
+            assert main(["invert", "--kernel", ker, "--method", "krein"]
+                        + extra) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs == [outputs[0]] * 4
+
+    def test_negative_zero_alpha_reaches_krein(self, tmp_path, capsys):
+        # -0.0 is its own trace value y_0 in the library
+        r = response_kernel(np.array([0.3, -0.2, 0.5]), 6)
+        ker = write_doc(tmp_path / "k.json", "kernel", r)
+        with mock.patch.object(cli, "invert_krein",
+                               wraps=cli.invert_krein) as solver:
+            assert main(["invert", "--kernel", ker, "--method", "krein",
+                         "--alpha", "-0.0"]) == 0
+        config = solver.call_args.args[2]
+        assert np.signbit(config.alpha) and config.beta == 1.0
 
     def test_default_horizon_is_max_covered(self, tmp_path, capsys):
         b = np.array([0.3, -0.2, 0.5])
@@ -544,6 +581,87 @@ class TestGoldenBytes:
         out, err = capsys.readouterr()
         assert err == ""
         assert out == (GOLDEN / name).read_text()
+
+
+# the settable values of each subcommand: every flag only where it is read
+OPTIONS = {
+    "forward": {"--output", "--potential", "--control", "--interval-n"},
+    "response": {"--output", "--potential", "--order"},
+    "connect": {"--output", "--kernel", "--potential", "--horizon",
+                "--via-waves", "--verify"},
+    "invert": {"--output", "--tol-det", "--tol-pivot", "--kernel",
+               "--horizon", "--method", "--alpha", "--beta"},
+    "characterize": {"--output", "--tol-det", "--tol-pivot", "--kernel",
+                     "--horizon"},
+    "spectral": {"--output", "--potential", "--size", "--tol-eig"},
+    "spectral-invert": {"--output", "--spectral"},
+    "roundtrip": {"--output", "--tol-det", "--tol-pivot", "--instances",
+                  "--horizon", "--amplitude", "--seed"},
+}
+
+# arguments that parse for each subcommand; no file is opened
+REQUIRED = {
+    "forward": ["--potential", "p", "--control", "c"],
+    "response": ["--potential", "p", "--order", "1"],
+    "connect": [],
+    "invert": ["--kernel", "k"],
+    "characterize": ["--kernel", "k"],
+    "spectral": ["--potential", "p"],
+    "spectral-invert": ["--spectral", "s"],
+    "roundtrip": ["--instances", "1", "--horizon", "2"],
+}
+
+
+def subparsers():
+    parser = cli.build_parser()
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionSurface:
+    def test_each_subcommand_has_only_the_flags_it_reads(self):
+        assert {name: {a.option_strings[-1] for a in p._actions
+                       if not isinstance(a, argparse._HelpAction)}
+                for name, p in subparsers().items()} == OPTIONS
+        assert sum(map(len, OPTIONS.values())) == 39
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_unread_flags_exit_2(self, command, capsys):
+        # without the flag the same arguments parse
+        cli.build_parser().parse_args([command] + REQUIRED[command])
+        removed = {"--seed", "--tol-det", "--tol-pivot",
+                   "--tol-eig"} - OPTIONS[command]
+        for flag in sorted(removed):
+            with pytest.raises(SystemExit) as exc:
+                main([command] + REQUIRED[command] + [flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in (
+                capsys.readouterr().err)
+
+    def test_tolerance_defaults_are_the_tolerances_fields(self):
+        fields = {"--tol-det": "det_tol", "--tol-pivot": "pivot_tol",
+                  "--tol-eig": "eig_tol"}
+        checked = 0
+        for name, p in subparsers().items():
+            for flag in sorted(fields.keys() & OPTIONS[name]):
+                default = p.get_default(flag[2:].replace("-", "_"))
+                assert default == getattr(Tolerances(), fields[flag]), name
+                checked += 1
+        assert checked == 7
+
+    def test_readme_synopsis_names_each_subcommand_flags(self):
+        text = (ROOT / "README.md").read_text()
+        section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        synopsis = section.split("```", 2)[1]
+        named = {}
+        for line in synopsis.strip().splitlines():
+            _, command, rest = line.split(None, 2)
+            named[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
+        # --output is on every subcommand, named once below the synopsis
+        assert "`--output PATH`" in section
+        assert named == {name: flags - {"--output"}
+                         for name, flags in OPTIONS.items()}
 
 
 class TestStdinOutput:

@@ -119,6 +119,15 @@ class TestKappa:
             assert kap[t + 1] + kap[t - 1] == 0.0
 
     @given(st.integers(1, 64))
+    def test_bytes_are_the_backward_recursion(self, T):
+        # zero signs included: they reach the Krein right-hand sides
+        want = [0.0] * (T + 1)
+        want[T - 1] = 1.0
+        for t in range(T - 1, 0, -1):
+            want[t - 1] = -want[t + 1]
+        assert kappa_seq(T).tobytes() == np.array(want[:T]).tobytes()
+
+    @given(st.integers(1, 64))
     def test_values_cycle(self, T):
         kap = kappa_seq(T)
         assert set(np.unique(kap)).issubset({-1.0, 0.0, 1.0})
