@@ -8,10 +8,11 @@ seeded from roundtrip's --seed, and floats are serialized with 17
 significant digits, so identical invocations produce identical bytes.
 
 Each flag is attached only to the subcommands that read it: --output
-to all of them, --tol-det and --tol-pivot to invert, characterize and
-roundtrip (the admissibility test), --tol-eig to spectral, --seed to
-roundtrip, and --alpha/--beta, given only with --method krein, to
-invert.  The tolerance defaults are the field defaults of Tolerances.
+to all of them, --tol-det to invert, characterize and roundtrip (the
+admissibility test), --tol-eig to spectral, --seed to roundtrip, and
+--alpha/--beta, given only with --method krein, to invert.  The
+tolerance defaults are the field defaults of Tolerances.  No flag may
+be abbreviated, lest a prefix such as --tol change meaning.
 """
 
 from __future__ import annotations
@@ -45,15 +46,11 @@ _METHODS = ("factorization", "gelfand-levitan", "krein")
 _BLOCK = 64
 
 
-def _admissibility(args):
-    return Tolerances(det_tol=args.tol_det, pivot_tol=args.tol_pivot)
-
-
-def _load(path, expect, what):
+def _load(path, kind):
     pf = files.load_problem(path)
-    if pf.kind not in expect:
+    if pf.kind != kind:
         raise ValueError(
-            f"{what} file has kind {pf.kind!r}, expected one of {expect}")
+            f"{kind} file has kind {pf.kind!r}, expected one of {(kind,)}")
     return pf
 
 
@@ -68,8 +65,8 @@ def _emit_json(doc, args):
 
 
 def cmd_forward(args):
-    control = _load(args.control, ("control",), "control")
-    potential = _load(args.potential, ("potential",), "potential")
+    control = _load(args.control, "control")
+    potential = _load(args.potential, "potential")
     f = control.values
     T = f.size
     # a field that overflows is refused when written, not as a warning
@@ -88,7 +85,7 @@ def cmd_forward(args):
 
 
 def cmd_response(args):
-    potential = _load(args.potential, ("potential",), "potential")
+    potential = _load(args.potential, "potential")
     # a kernel that overflows is refused when written, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         r = response_kernel(potential.values, args.order)
@@ -105,12 +102,12 @@ def cmd_connect(args):
         if args.via_waves or args.verify:
             raise ValueError(
                 "--via-waves/--verify need a potential input")
-        pf = _load(args.kernel, ("kernel",), "kernel")
+        pf = _load(args.kernel, "kernel")
         if T is None:
             T = _default_horizon(args, pf.values.size)
         C = connecting_matrix(pf.values, T)
     else:
-        pf = _load(args.potential, ("potential",), "potential")
+        pf = _load(args.potential, "potential")
         if T is None:
             raise ValueError("--horizon is required with --potential")
         # a route that overflows is refused by connecting_matrix or
@@ -138,9 +135,10 @@ def cmd_invert(args):
                 if value is not None}
     if boundary and args.method != "krein":
         raise ValueError("--alpha and --beta apply only to --method krein")
-    pf = _load(args.kernel, ("kernel",), "kernel")
+    pf = _load(args.kernel, "kernel")
     T = _default_horizon(args, pf.values.size)
-    verdict = characterize_response(pf.values, T, _admissibility(args))
+    verdict = characterize_response(pf.values, T,
+                                    Tolerances(det_tol=args.tol_det))
     if not verdict.admissible:
         print(f"error: kernel inadmissible at order "
               f"{verdict.first_failing_order}", file=sys.stderr)
@@ -158,9 +156,10 @@ def cmd_invert(args):
 
 
 def cmd_characterize(args):
-    pf = _load(args.kernel, ("kernel",), "kernel")
+    pf = _load(args.kernel, "kernel")
     T = _default_horizon(args, pf.values.size)
-    verdict = characterize_response(pf.values, T, _admissibility(args))
+    verdict = characterize_response(pf.values, T,
+                                    Tolerances(det_tol=args.tol_det))
     doc = {
         "kind": "characterization",
         "admissible": verdict.admissible,
@@ -174,7 +173,7 @@ def cmd_characterize(args):
 
 
 def cmd_spectral(args):
-    pf = _load(args.potential, ("potential",), "potential")
+    pf = _load(args.potential, "potential")
     N = args.size if args.size is not None else pf.values.size
     H = build_hamiltonian(pf.values, N)
     sd = eigen_decompose(H, Tolerances(eig_tol=args.tol_eig))
@@ -183,7 +182,7 @@ def cmd_spectral(args):
 
 
 def cmd_spectral_invert(args):
-    pf = _load(args.spectral, ("spectral",), "spectral")
+    pf = _load(args.spectral, "spectral")
     sd = files.spectral_from_problem(pf)
     b = invert_spectral(sd)
     doc = files.problem_document(
@@ -279,7 +278,8 @@ def cmd_roundtrip(args):
     # error reported when both are wrong
     _check_roundtrip(args.instances, args.horizon, args.amplitude)
     report = roundtrip_report(args.seed, args.instances, args.horizon,
-                              args.amplitude, _admissibility(args))
+                              args.amplitude,
+                              Tolerances(det_tol=args.tol_det))
     _emit_json(report, args)
     return EXIT_OK
 
@@ -292,35 +292,32 @@ def build_parser():
     admissibility = argparse.ArgumentParser(add_help=False)
     admissibility.add_argument("--tol-det", type=float,
                                default=Tolerances.det_tol,
-                               help="unit-determinant admissibility slack")
-    admissibility.add_argument("--tol-pivot", type=float,
-                               default=Tolerances.pivot_tol,
-                               help="positivity floor for elimination "
-                                    "pivots")
+                               help="unit-minor admissibility slack, below 1")
 
     parser = argparse.ArgumentParser(
-        prog="lattice-bc",
+        prog="lattice-bc", allow_abbrev=False,
         description="Boundary control toolkit for the discrete "
                     "Schrodinger lattice.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("forward", parents=[output],
-                       help="simulate the controlled lattice")
+    p = add_parser("forward", parents=[output],
+                   help="simulate the controlled lattice")
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--control", required=True, metavar="FILE")
     p.add_argument("--interval-n", type=int, default=None, metavar="N",
                    help="finite interval size (default: half-line)")
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("response", parents=[output],
-                       help="response kernel of a potential")
+    p = add_parser("response", parents=[output],
+                   help="response kernel of a potential")
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--order", type=int, required=True, metavar="K",
                    help="deepest kernel index to compute")
     p.set_defaults(func=cmd_response)
 
-    p = sub.add_parser("connect", parents=[output],
-                       help="connecting matrix from a kernel or potential")
+    p = add_parser("connect", parents=[output],
+                   help="connecting matrix from a kernel or potential")
     p.add_argument("--kernel", default=None, metavar="FILE")
     p.add_argument("--potential", default=None, metavar="FILE")
     p.add_argument("--horizon", type=int, default=None, metavar="T")
@@ -330,8 +327,8 @@ def build_parser():
                    help="compare the kernel and wave routes")
     p.set_defaults(func=cmd_connect)
 
-    p = sub.add_parser("invert", parents=[output, admissibility],
-                       help="recover the potential from a kernel")
+    p = add_parser("invert", parents=[output, admissibility],
+                   help="recover the potential from a kernel")
     p.add_argument("--kernel", required=True, metavar="FILE")
     p.add_argument("--horizon", type=int, default=None, metavar="T",
                    help="default: largest horizon the kernel covers")
@@ -343,14 +340,14 @@ def build_parser():
                    help="Krein boundary datum y_1 (default 1)")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("characterize", parents=[output, admissibility],
-                       help="test a kernel prefix for admissibility")
+    p = add_parser("characterize", parents=[output, admissibility],
+                   help="test a kernel prefix for admissibility")
     p.add_argument("--kernel", required=True, metavar="FILE")
     p.add_argument("--horizon", type=int, default=None, metavar="T")
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("spectral", parents=[output],
-                       help="eigenvalues and norming constants")
+    p = add_parser("spectral", parents=[output],
+                   help="eigenvalues and norming constants")
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--size", type=int, default=None, metavar="N",
                    help="interval size (default: potential length)")
@@ -359,13 +356,13 @@ def build_parser():
                         "relative to |H|")
     p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("spectral-invert", parents=[output],
-                       help="recover the potential from spectral data")
+    p = add_parser("spectral-invert", parents=[output],
+                   help="recover the potential from spectral data")
     p.add_argument("--spectral", required=True, metavar="FILE")
     p.set_defaults(func=cmd_spectral_invert)
 
-    p = sub.add_parser("roundtrip", parents=[output, admissibility],
-                       help="randomized kernel round-trip report")
+    p = add_parser("roundtrip", parents=[output, admissibility],
+                   help="randomized kernel round-trip report")
     p.add_argument("--instances", type=int, required=True, metavar="M")
     p.add_argument("--horizon", type=int, required=True, metavar="T")
     p.add_argument("--amplitude", type=float, default=1.0,

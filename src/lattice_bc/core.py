@@ -17,26 +17,28 @@ import numpy as np
 class Tolerances:
     """Numerical thresholds shared across characterization and spectral code.
 
-    det_tol   : admissibility slack for unit-determinant checks.
-    pivot_tol : positivity floor for the elimination pivots of the
-                dynamical factorization.
-    eig_tol   : largest eigenpair residual bound accepted, relative to
-                |H| (|gamma_r| / |z| of the twisted factorization, or
-                the residual itself after a Gram-Schmidt pass).
+    det_tol : admissibility slack for the unit leading minors of the
+              reversed connecting matrix, below 1 so that passing the
+              test also means positive definite.
+    eig_tol : largest eigenpair residual bound accepted, relative to
+              |H| (|gamma_r| / |z| of the twisted factorization, or
+              the residual itself after a Gram-Schmidt pass).
 
     The field defaults are also the defaults of the command-line flags
-    --tol-det, --tol-pivot and --tol-eig.
+    --tol-det and --tol-eig.
     """
 
     det_tol: float = 1e-9
-    pivot_tol: float = 1e-12
     eig_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("det_tol", "pivot_tol", "eig_tol"):
+        for name in ("det_tol", "eig_tol"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and nonnegative")
+        if self.det_tol >= 1.0:
+            raise ValueError("det_tol must be below 1, so that unit minors "
+                             "mean a positive definite matrix")
 
 
 def as_float_array(values, name="values"):

@@ -26,7 +26,7 @@ Python step per order for the whole stack, and reads it out as one
 record of float64 and int arrays, one column per kernel: the minors,
 pivots and reached order, and b-hat and the failure's argument of the
 factorization and of Krein.  The long double internals never leave it.
-Only _first_failing reads the tolerances.  Each public function is the
+Only _first_failing reads a tolerance.  Each public function is the
 M = 1 case: it reads column 0 and builds the verdict, returns a copy of
 b-hat or raises the route's failure, in the order _FAILURES gives.  The
 round-trip report reads _block_outcomes once per block of instances,
@@ -125,8 +125,8 @@ class CharacterizationVerdict:
     pivot, the ratio of successive minors, for l = 1..m: m is the last
     order the moment recursion reached, T unless a pivot was exactly
     zero (order m, included) or a value overflowed float64 (order
-    m + 1, left out).  first_failing_order is the smallest l violating
-    either condition, or None when admissible.
+    m + 1, left out).  first_failing_order is the smallest l whose
+    minor is off one by more than det_tol, or None when admissible.
     """
 
     admissible: bool
@@ -289,12 +289,10 @@ def _krein_rhs(r, T, config):
 
 def _first_failing(answers, tol):
     """The first order (M,) whose minor is off one by more than
-    tol.det_tol or whose pivot is not above tol.pivot_tol, 0 when
-    admissible.  A zero pivot and a value beyond float64 fail their
-    order, so it is never past the reached one."""
+    tol.det_tol, 0 when admissible; a zero pivot or a value beyond
+    float64 fails by its order, so it is never past the reached one."""
     with np.errstate(invalid="ignore"):
-        passed = ((np.abs(answers.minors - 1.0) <= tol.det_tol)
-                  & (answers.pivots > tol.pivot_tol))
+        passed = np.abs(answers.minors - 1.0) <= tol.det_tol
     return _order(_first(~passed), passed.shape[0])
 
 
@@ -413,10 +411,11 @@ def characterize_response(r, T, tol=Tolerances()):
     Admissible means the prefix is the response kernel of some real
     potential of length T - 1, which holds iff the reversed connecting
     matrix is positive definite with every leading principal
-    determinant equal to one.  Both facts are read off the LDL^T
-    pivots d of the moment recursion, with no floor: the minors
-    m_l = d_0 ... d_{l-1} must satisfy |m_l - 1| <= det_tol and the
-    pivots d_{l-1} > pivot_tol for l = 1..T.  Inadmissibility is a
+    determinant equal to one.  The minors m_l = d_0 ... d_{l-1} are
+    read off the LDL^T pivots d of the moment recursion, with no floor,
+    and must satisfy |m_l - 1| <= det_tol for l = 1..T; as det_tol < 1,
+    that keeps every pivot at least (1 - det_tol) / (1 + det_tol) > 0,
+    so the test also means positive definite.  Inadmissibility is a
     verdict, not an error.
     """
     r, T = _checked_kernel(r, T)

@@ -205,7 +205,7 @@ def test_criterion_5_spectral_consistency(capsys):
 
 def test_criterion_6_structural_invariants(capsys):
     rng = np.random.default_rng(106)
-    tol = Tolerances(pivot_tol=0.0)
+    tol = Tolerances()
     w_mass = w_res = 0.0
     for N in (4, 8, 16, 32, 64):
         for _ in range(3):

@@ -103,6 +103,9 @@ class TestResponse:
     def test_wrong_kind_rejected(self, tmp_path, capsys):
         ker = write_doc(tmp_path / "k.json", "kernel", [1.0, 0.0])
         assert main(["response", "--potential", ker, "--order", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: potential file has kind 'kernel', expected one of "
+            "('potential',)\n")
 
 
 class TestConnect:
@@ -261,6 +264,18 @@ class TestCharacterize:
         capsys.readouterr()
         assert main(["characterize", "--kernel", ker, "--horizon", "3",
                      "--tol-det", "1e-3"]) == 0
+
+    @pytest.mark.parametrize("command", ["characterize", "invert",
+                                         "roundtrip"])
+    def test_det_tol_of_one_exits_2(self, command, capsys):
+        # at det_tol = 1 a zero minor would pass as a unit one
+        args = {"roundtrip": ["--instances", "1", "--horizon", "2"]}.get(
+            command, ["--kernel", KERNEL])
+        assert main([command, *args, "--tol-det", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: det_tol must be below 1, so that unit minors "
+                       "mean a positive definite matrix\n")
 
 
 class TestSpectral:
@@ -589,14 +604,13 @@ OPTIONS = {
     "response": {"--output", "--potential", "--order"},
     "connect": {"--output", "--kernel", "--potential", "--horizon",
                 "--via-waves", "--verify"},
-    "invert": {"--output", "--tol-det", "--tol-pivot", "--kernel",
-               "--horizon", "--method", "--alpha", "--beta"},
-    "characterize": {"--output", "--tol-det", "--tol-pivot", "--kernel",
-                     "--horizon"},
+    "invert": {"--output", "--tol-det", "--kernel", "--horizon",
+               "--method", "--alpha", "--beta"},
+    "characterize": {"--output", "--tol-det", "--kernel", "--horizon"},
     "spectral": {"--output", "--potential", "--size", "--tol-eig"},
     "spectral-invert": {"--output", "--spectral"},
-    "roundtrip": {"--output", "--tol-det", "--tol-pivot", "--instances",
-                  "--horizon", "--amplitude", "--seed"},
+    "roundtrip": {"--output", "--tol-det", "--instances", "--horizon",
+                  "--amplitude", "--seed"},
 }
 
 # arguments that parse for each subcommand; no file is opened
@@ -624,7 +638,7 @@ class TestOptionSurface:
         assert {name: {a.option_strings[-1] for a in p._actions
                        if not isinstance(a, argparse._HelpAction)}
                 for name, p in subparsers().items()} == OPTIONS
-        assert sum(map(len, OPTIONS.values())) == 39
+        assert sum(map(len, OPTIONS.values())) == 36
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_unread_flags_exit_2(self, command, capsys):
@@ -639,16 +653,30 @@ class TestOptionSurface:
             assert f"unrecognized arguments: {flag} 1" in (
                 capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, args", [
+        ("characterize", ["--kernel", "k", "--tol", "1e-3"]),
+        ("invert", ["--kernel", "k", "--tol", "1e-3"]),
+        ("spectral", ["--potential", "p", "--tol", "1e-3"]),
+        ("spectral", ["--potential", "p", "--s", "4"]),
+        ("roundtrip", ["--instances", "1", "--horizon", "2", "--se", "4"]),
+    ])
+    def test_abbreviated_flags_exit_2(self, command, args, capsys):
+        # a prefix would otherwise mean whichever flag it matches today
+        with pytest.raises(SystemExit) as exc:
+            main([command] + args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in (
+            capsys.readouterr().err)
+
     def test_tolerance_defaults_are_the_tolerances_fields(self):
-        fields = {"--tol-det": "det_tol", "--tol-pivot": "pivot_tol",
-                  "--tol-eig": "eig_tol"}
+        fields = {"--tol-det": "det_tol", "--tol-eig": "eig_tol"}
         checked = 0
         for name, p in subparsers().items():
             for flag in sorted(fields.keys() & OPTIONS[name]):
                 default = p.get_default(flag[2:].replace("-", "_"))
                 assert default == getattr(Tolerances(), fields[flag]), name
                 checked += 1
-        assert checked == 7
+        assert checked == 4
 
     def test_readme_synopsis_names_each_subcommand_flags(self):
         text = (ROOT / "README.md").read_text()

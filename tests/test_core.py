@@ -1,5 +1,7 @@
 """Sequence utilities: convolution, Chebyshev values, harmonic weight."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -140,10 +142,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             Tolerances(eig_tol=float("nan"))
 
+    def test_det_tol_below_one(self):
+        # at det_tol >= 1 minors within det_tol of one may be zero or
+        # negative, so the unit-minor test no longer means positive
+        # definite
+        for det_tol in (1.0, 2.0):
+            with pytest.raises(ValueError, match="det_tol must be below 1"):
+                Tolerances(det_tol=det_tol)
+        assert Tolerances(det_tol=np.nextafter(1.0, 0.0)).det_tol < 1.0
+        # the finiteness check comes first, with its own message
+        for det_tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError,
+                               match="det_tol must be finite and nonnegative"):
+                Tolerances(det_tol=det_tol)
+
     def test_tolerances_defaults(self):
         tol = Tolerances()
+        assert [f.name for f in dataclasses.fields(tol)] == [
+            "det_tol", "eig_tol"]
         assert tol.det_tol == 1e-9
-        assert tol.pivot_tol == 1e-12
         assert tol.eig_tol == 1e-10
 
     def test_kernel_must_start_at_one(self):

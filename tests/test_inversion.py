@@ -323,6 +323,33 @@ class TestStack:
                 else:
                     assert same_outcome(b_hat[:, m], want)
 
+    @given(T=st.integers(1, 64), kinds=kinds, amplitude=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1),
+           det_tol=st.sampled_from((0.0, 1e-12, 1e-9, 1e-3, 0.5, 0.9)))
+    def test_unit_minors_bound_the_pivots(self, T, kinds, amplitude, seed,
+                                          det_tol):
+        r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
+        answers = _answers(r, T, KreinConfig())
+        failing = _first_failing(answers, Tolerances(det_tol=det_tol))
+        # minors within det_tol of one up to order l keep the pivot
+        # d_{l-1} = m_l / m_{l-1} at least this, up to rounding
+        bound = (1.0 - det_tol) / (1.0 + det_tol) * (1.0 - 1e-12)
+        for m in range(len(kinds)):
+            passing = failing[m] - 1 if failing[m] else T
+            assert np.all(answers.pivots[:passing, m] >= bound)
+        # so the former rule, which also asked every pivot to exceed a
+        # floor, gives the same first failing order for any floor below
+        # the bound
+        for pivot_tol in (1e-12, 0.5):
+            if pivot_tol >= bound:
+                continue
+            with np.errstate(invalid="ignore"):
+                passed = ((np.abs(answers.minors - 1.0) <= det_tol)
+                          & (answers.pivots > pivot_tol))
+            reference = np.where(passed.all(axis=0), 0,
+                                 np.argmax(~passed, axis=0) + 1)
+            assert np.array_equal(failing, reference)
+
 
 def verdict_bits(verdict):
     return (verdict.admissible, verdict.first_failing_order,

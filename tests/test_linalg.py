@@ -8,7 +8,9 @@ eigen_decompose must agree with the decimal one-eigenvalue-at-a-time
 reference in tests/helpers.py.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,3 +383,66 @@ def clamped_twisted(d, e, e2, lam, pivmin):
     norm2 = np.einsum("kn,kn->k", z[None], z[None])[0]
     norm = np.sqrt(norm2)
     return gamma[r] / norm2, z / norm, abs(gamma[r]) / norm
+
+
+def numpy_linalg_uses(source):
+    """Line numbers where source imports numpy.linalg or reads it as an
+    attribute of a name bound to numpy."""
+    tree = ast.parse(source)
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names.update(alias.asname or alias.name
+                               for alias in node.names
+                               if alias.name == "numpy")
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.linalg")
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = not node.level and (
+                module.startswith("numpy.linalg")
+                or (module == "numpy"
+                    and any(alias.name == "linalg" for alias in node.names)))
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr == "linalg" and isinstance(node.value, ast.Name)
+                   and node.value.id in numpy_names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+class TestIndependence:
+    """numpy.linalg is the tests' oracle, so the library must not use it."""
+
+    SOURCES = sorted((Path(__file__).resolve().parents[1]
+                      / "src" / "lattice_bc").glob("*.py"))
+
+    def test_library_never_uses_numpy_linalg(self):
+        assert self.SOURCES
+        found = {path.name: numpy_linalg_uses(path.read_text())
+                 for path in self.SOURCES}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    @pytest.mark.parametrize("source", [
+        "import numpy as np\nx = np.linalg.norm(v)",
+        "import numpy\nnumpy.linalg.eigh(a)",
+        "import numpy.linalg",
+        "import numpy.linalg as la",
+        "from numpy import linalg",
+        "from numpy.linalg import norm",
+    ])
+    def test_guard_finds_each_form(self, source):
+        assert numpy_linalg_uses(source)
+
+    def test_guard_passes_the_own_module_and_docstrings(self):
+        source = ('"""numpy.linalg is not used."""\n'
+                  "import numpy as np\n"
+                  "from . import linalg\n"
+                  "from .linalg import ConvergenceFailure\n"
+                  "linalg.tridiag_eigensystem(d, e)\n")
+        assert numpy_linalg_uses(source) == []

@@ -103,8 +103,6 @@ class TestEigenDecompose:
         b[-1] = 8.0
         H = build_hamiltonian(b, 24)
         sd = eigen_decompose(H)
-        harsh = eigen_decompose(H, Tolerances(pivot_tol=1e-3))
-        assert np.array_equal(harsh.norming, sd.norming)
         assert sd.norming[0] > 1e41
         assert abs(np.sum(1.0 / sd.norming) - 1.0) <= 1e-10
         _, rho = decimal_eigendata(H.diag, np.linalg.eigvalsh(H.to_dense()))
