@@ -7,8 +7,8 @@ pipeline (size N, the interval length):
 
     build_hamiltonian        H from b
     coarse_multisection      eigen_decompose's first stage: Sturm
-                             multisection to brackets of 1e-6 of the
-                             scale
+                             multisection to brackets
+                             linalg._BRACKET_WIDTH of the scale wide
     twisted_refinement       the Rayleigh-quotient steps, one twisted
                              factorization each
     vector_pass              the rest of eigen_decompose: one more
@@ -36,8 +36,12 @@ Each stage time is the best of REPEATS calls per potential, and the
 cell reports the median over potentials in milliseconds (a report is
 timed once per cell).  The three eigen_decompose stages come from one
 call, timed by wrapping linalg._multisect and linalg._twisted for its
-duration.  The inversion functions share the recursion and readout of
-the last kernel they saw, so that cache is cleared before every call:
+duration.  Wrapping linalg._sturm_counts too, each spectral cell also
+records the most Sturm passes the coarse stage made on one of its
+potentials (coarse_passes), and how many rows its eigensystems sent to
+the second _multisect call, the bisection to roundoff (bisected_rows).
+The inversion functions share the recursion and readout of the last
+kernel they saw, so that cache is cleared before every call:
 each single-stage time is a cold call, and shared shows what sharing
 saves.  Next to the times it records max |b-hat - b|:
 over the potentials eigen_decompose accepted, with how many it
@@ -118,18 +122,26 @@ def reference_ms():
 
 
 def eigen_stages(H):
-    """eigen_decompose(H) split into its three stages (ms), and its result.
+    """eigen_decompose(H) split into its three stages (ms), its Sturm
+    passes and bisected rows, and its result.
 
     The first linalg._multisect call is the coarse stage; the first
     _CORRECTIONS linalg._twisted calls, made on the rows that take
     Rayleigh-quotient steps, are the refinement; everything else in the
-    call is the vector pass.
+    call is the vector pass.  The rows of a second _multisect call are
+    those bisected to roundoff.
     """
     spent = {"_multisect": [], "_twisted": []}
-    originals = {name: getattr(linalg, name) for name in spent}
+    originals = {name: getattr(linalg, name)
+                 for name in (*spent, "_sturm_counts")}
+    passes = []  # Sturm passes per _multisect call
+    rows = []  # eigenvalues per _multisect call
 
     def timed(name):
         def wrapper(*args, **kwargs):
+            if name == "_multisect":
+                passes.append(0)
+                rows.append(args[2].size)
             start = time.perf_counter()
             try:
                 return originals[name](*args, **kwargs)
@@ -137,8 +149,13 @@ def eigen_stages(H):
                 spent[name].append(time.perf_counter() - start)
         return wrapper
 
+    def counted(*args):
+        passes[-1] += 1
+        return originals["_sturm_counts"](*args)
+
     for name in spent:
         setattr(linalg, name, timed(name))
+    linalg._sturm_counts = counted
     try:
         start = time.perf_counter()
         sd = eigen_decompose(H)
@@ -152,14 +169,17 @@ def eigen_stages(H):
               if len(spent["_twisted"]) > steps else 0.0)
     return {"coarse_multisection": coarse * 1e3,
             "twisted_refinement": refine * 1e3,
-            "vector_pass": (total - coarse - refine) * 1e3}, sd
+            "vector_pass": (total - coarse - refine) * 1e3}, {
+                "coarse_passes": passes[0],
+                "bisected_rows": sum(rows[1:])}, sd
 
 
 def best_stages_ms(H):
-    """Per stage, the best of REPEATS eigen_stages calls."""
+    """Per stage, the best of REPEATS eigen_stages calls; the counts
+    and the result of the last."""
     runs = [eigen_stages(H) for _ in range(REPEATS)]
     return ({stage: min(run[0][stage] for run in runs)
-             for stage in runs[0][0]}, runs[-1][1])
+             for stage in runs[0][0]}, *runs[-1][1:])
 
 
 def time_spectral_cell(rng, N, amplitude, instances):
@@ -167,15 +187,19 @@ def time_spectral_cell(rng, N, amplitude, instances):
     times = {stage: [] for stage in STAGES}
     worst = 0.0
     rejected = 0
+    coarse_passes = 0
+    bisected_rows = 0
     for _ in range(instances):
         b = rng.uniform(-amplitude, amplitude, N)
         ms, H = best_ms(build_hamiltonian, b, N)
         times["build_hamiltonian"].append(ms)
         try:
-            stage_ms, sd = best_stages_ms(H)
+            stage_ms, counts, sd = best_stages_ms(H)
         except ConvergenceFailure:
             rejected += 1
             continue
+        coarse_passes = max(coarse_passes, counts["coarse_passes"])
+        bisected_rows += counts["bisected_rows"]
         for stage, ms in stage_ms.items():
             times[stage].append(ms)
         ms, _ = best_ms(kernel_from_spectral, sd, 2 * N - 1)
@@ -186,6 +210,7 @@ def time_spectral_cell(rng, N, amplitude, instances):
     return {
         "N": N, "amplitude": amplitude, "instances": instances,
         "rejected": rejected,
+        "coarse_passes": coarse_passes, "bisected_rows": bisected_rows,
         "stage_ms": {stage: statistics.median(values) if values else None
                      for stage, values in times.items()},
         "max_abs_err": worst,
@@ -276,16 +301,22 @@ def measure(pipeline, sizes, instances):
             stages = "  ".join(f"{stage} {brief(ms, '.3f')}"
                                for stage, ms in cell["stage_ms"].items())
             failed = cell.get("failed", cell.get("rejected"))
+            passes = (f"  coarse passes {cell['coarse_passes']}  bisected "
+                      f"rows {cell['bisected_rows']}"
+                      if pipeline == "spectral" else "")
             print(f"size={size:<4} amp={amplitude:<4} {stages}  "
                   f"max|b-hat - b| {brief(cell['max_abs_err'], '.1e')}  "
-                  f"failed {brief(failed, 'd')}")
-    return {
+                  f"failed {brief(failed, 'd')}{passes}")
+    run = {
         "pipeline": pipeline,
         "seed": SEED, "repeats": REPEATS, "unit": "ms",
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
         "cells": cells,
     }
+    if pipeline == "spectral":
+        run["bracket_width"] = linalg._BRACKET_WIDTH
+    return run
 
 
 def main():

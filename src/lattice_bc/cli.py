@@ -376,7 +376,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # under the usage line of the subcommand, which lists its flags,
+        # where parse_args would print the top-level one
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        sub.choices[args.command].error(
+            f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,13 +1,14 @@
 """Tridiagonal eigensolver for Jacobi matrices, over the whole spectrum.
 
 tridiag_eigensystem brackets every eigenvalue by multisection on Sturm
-counts (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987), then
-refines it by Rayleigh-quotient steps through a twisted factorization of
-T - lambda, which also gives its eigenvector as products of pivot ratios
-(Fernando, SIAM J. Matrix Anal. Appl. 18, 1997; Dhillon & Parlett,
-Linear Algebra Appl. 387, 2004).  Everything is deterministic numpy
-array arithmetic; numpy.linalg is deliberately not used so that library
-results and test oracles stay independent.
+counts (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987), to
+_BRACKET_WIDTH of the Gershgorin scale in at most three Sturm passes,
+then refines it by Rayleigh-quotient steps through a twisted
+factorization of T - lambda, which also gives its eigenvector as
+products of pivot ratios (Fernando, SIAM J. Matrix Anal. Appl. 18,
+1997; Dhillon & Parlett, Linear Algebra Appl. 387, 2004).  Everything
+is deterministic numpy array arithmetic; numpy.linalg is deliberately
+not used so that library results and test oracles stay independent.
 
 Both kernels spend their work on arithmetic, and each site costs few
 numpy calls.  A multisection pass counts one tree of nested midpoints
@@ -43,8 +44,12 @@ _MIN_DEPTH = 4
 # at about 1000 shifts the block stays in cache
 _COUNT_BLOCK = 8
 # bracket width, relative to the Gershgorin scale, at which bisection
-# hands an isolated eigenvalue to Rayleigh-quotient steps
-_BRACKET_WIDTH = 1e-6
+# hands an isolated eigenvalue to Rayleigh-quotient steps.  The
+# Gershgorin bracket is at most 2 scales wide, so 1e-5 takes 18
+# halvings: the first pass's 10 and two later passes of 4 or more.
+# 1e-6 would take 21, a fourth Sturm pass, and gain no eigenvalue
+# digits after the _CORRECTIONS steps
+_BRACKET_WIDTH = 1e-5
 # Rayleigh-quotient steps per isolated eigenvalue; the step that the
 # vector pass at the final shift proposes must be at most _SETTLED
 # roundings of the scale, or the eigenvalue is bisected

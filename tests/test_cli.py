@@ -646,12 +646,15 @@ class TestOptionSurface:
         cli.build_parser().parse_args([command] + REQUIRED[command])
         removed = {"--seed", "--tol-det", "--tol-pivot",
                    "--tol-eig"} - OPTIONS[command]
+        # reported under the subcommand's own usage line
+        p = subparsers()[command]
         for flag in sorted(removed):
             with pytest.raises(SystemExit) as exc:
                 main([command] + REQUIRED[command] + [flag, "1"])
             assert exc.value.code == 2
-            assert f"unrecognized arguments: {flag} 1" in (
-                capsys.readouterr().err)
+            assert capsys.readouterr().err == (
+                p.format_usage()
+                + f"{p.prog}: error: unrecognized arguments: {flag} 1\n")
 
     @pytest.mark.parametrize("command, args", [
         ("characterize", ["--kernel", "k", "--tol", "1e-3"]),
@@ -667,6 +670,17 @@ class TestOptionSurface:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in (
             capsys.readouterr().err)
+
+    def test_unrecognized_flag_shows_the_subcommand_usage(self):
+        proc = run_in_subprocess("invert", "--kernel", "k.json",
+                                 "--tol", "1e-3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("usage: lattice-bc invert [-h]")
+        assert "--tol-det TOL_DET" in proc.stderr
+        assert lines[-1] == ("lattice-bc invert: error: unrecognized "
+                             "arguments: --tol 1e-3")
 
     def test_tolerance_defaults_are_the_tolerances_fields(self):
         fields = {"--tol-det": "det_tol", "--tol-eig": "eig_tol"}

@@ -185,6 +185,32 @@ class TestEigen:
             linalg.tridiag_eigensystem(d, np.ones(63))
         assert calls == [64, 64, 64]
 
+    def test_coarse_stage_takes_three_sturm_passes(self, monkeypatch):
+        # the Gershgorin bracket is at most 2 scales wide, so 18 halvings
+        # reach _BRACKET_WIDTH: the first pass's 10 and two passes of 4
+        # or 5 over the distinct brackets
+        passes = []  # Sturm passes per _multisect call
+        sturm_counts, multisect = linalg._sturm_counts, linalg._multisect
+
+        def count(*args):
+            passes[-1] += 1
+            return sturm_counts(*args)
+
+        def track(*args, **kwargs):
+            passes.append(0)
+            return multisect(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_sturm_counts", count)
+        monkeypatch.setattr(linalg, "_multisect", track)
+        rng = np.random.default_rng(13)
+        for n in (32, 64, 128, 256):
+            for amplitude in (0.1, 0.3, 1.0):
+                for _ in range(2):
+                    passes.clear()
+                    d = rng.uniform(-amplitude, amplitude, n)
+                    linalg.tridiag_eigensystem(d, np.ones(n - 1))
+                    assert passes[0] == 3, (n, amplitude)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 80), amplitude=st.floats(0.1, 3.0),
            copies=st.integers(1, 3), joint=st.sampled_from((1e-9, 0.0)),

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from lattice_bc import linalg
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -44,10 +46,15 @@ def test_stage_times_records_every_stage(tmp_path):
                    "--sizes", "4", "--instances", "1")
     runs = json.loads(out.read_text())["runs"]
     assert set(runs) == {"first", "second"}
+    assert runs["second"]["bracket_width"] == linalg._BRACKET_WIDTH
     cells = runs["second"]["cells"]
     assert [(c["N"], c["amplitude"]) for c in cells] == [(4, 0.1), (4, 0.3)]
     for cell in cells:
         assert cell["rejected"] == 0
+        # at most four brackets after the first pass's 10 halvings: one
+        # more pass, 8 or more deep, reaches the 18 _BRACKET_WIDTH takes
+        assert cell["coarse_passes"] == 2
+        assert cell["bisected_rows"] in range(5)
         # vector_pass is a difference of two times, so only its
         # presence is checked
         assert all(isinstance(ms, float) for ms in cell["stage_ms"].values())

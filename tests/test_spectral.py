@@ -206,6 +206,24 @@ class TestEigenDecompose:
                 assert np.max(np.abs(sd.norming / rho - 1.0)) <= 3e-12
                 assert np.max(np.abs(invert_spectral(sd) - b)) <= 1e-6
 
+    def test_digits_match_the_decimal_reference(self):
+        # the Rayleigh-quotient steps take over from brackets
+        # _BRACKET_WIDTH of the scale wide and still reach the decimal
+        # eigenvalues to 2 roundings of the largest, and rho as closely
+        # as test_strong_potentials_invert asks
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(84)
+        for amplitude in (0.1, 0.3, 1.0, 2.0):
+            for _ in range(2):
+                H = build_hamiltonian(rng.uniform(-amplitude, amplitude, 64),
+                                      64)
+                sd = eigen_decompose(H)
+                lam, rho = decimal_eigendata(
+                    H.diag, np.linalg.eigvalsh(H.to_dense()))
+                assert (np.max(np.abs(sd.eigenvalues - lam))
+                        <= 2 * eps * np.max(np.abs(lam))), amplitude
+                assert np.max(np.abs(sd.norming / rho - 1.0)) <= 3e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             eigen_decompose(np.eye(3))
