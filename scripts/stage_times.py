@@ -141,7 +141,7 @@ def eigen_stages(H):
         def wrapper(*args, **kwargs):
             if name == "_multisect":
                 passes.append(0)
-                rows.append(args[2].size)
+                rows.append(args[1].size)
             start = time.perf_counter()
             try:
                 return originals[name](*args, **kwargs)

@@ -307,14 +307,14 @@ def build_parser():
     p.add_argument("--control", required=True, metavar="FILE")
     p.add_argument("--interval-n", type=int, default=None, metavar="N",
                    help="finite interval size (default: half-line)")
-    p.set_defaults(func=cmd_forward)
+    p.set_defaults(func=cmd_forward, parser=p)
 
     p = add_parser("response", parents=[output],
                    help="response kernel of a potential")
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--order", type=int, required=True, metavar="K",
                    help="deepest kernel index to compute")
-    p.set_defaults(func=cmd_response)
+    p.set_defaults(func=cmd_response, parser=p)
 
     p = add_parser("connect", parents=[output],
                    help="connecting matrix from a kernel or potential")
@@ -325,7 +325,7 @@ def build_parser():
                    help="assemble the Gram matrix from wave fields")
     p.add_argument("--verify", action="store_true",
                    help="compare the kernel and wave routes")
-    p.set_defaults(func=cmd_connect)
+    p.set_defaults(func=cmd_connect, parser=p)
 
     p = add_parser("invert", parents=[output, admissibility],
                    help="recover the potential from a kernel")
@@ -338,13 +338,13 @@ def build_parser():
                    help="Krein boundary datum y_0 (default 0)")
     p.add_argument("--beta", type=float, default=None,
                    help="Krein boundary datum y_1 (default 1)")
-    p.set_defaults(func=cmd_invert)
+    p.set_defaults(func=cmd_invert, parser=p)
 
     p = add_parser("characterize", parents=[output, admissibility],
                    help="test a kernel prefix for admissibility")
     p.add_argument("--kernel", required=True, metavar="FILE")
     p.add_argument("--horizon", type=int, default=None, metavar="T")
-    p.set_defaults(func=cmd_characterize)
+    p.set_defaults(func=cmd_characterize, parser=p)
 
     p = add_parser("spectral", parents=[output],
                    help="eigenvalues and norming constants")
@@ -354,12 +354,12 @@ def build_parser():
     p.add_argument("--tol-eig", type=float, default=Tolerances.eig_tol,
                    help="largest eigenpair residual bound accepted, "
                         "relative to |H|")
-    p.set_defaults(func=cmd_spectral)
+    p.set_defaults(func=cmd_spectral, parser=p)
 
     p = add_parser("spectral-invert", parents=[output],
                    help="recover the potential from spectral data")
     p.add_argument("--spectral", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_spectral_invert)
+    p.set_defaults(func=cmd_spectral_invert, parser=p)
 
     p = add_parser("roundtrip", parents=[output, admissibility],
                    help="randomized kernel round-trip report")
@@ -369,21 +369,17 @@ def build_parser():
                    help="potential draws are uniform on [-a, a]")
     p.add_argument("--seed", type=int, default=0,
                    help="PCG64 seed of the draws")
-    p.set_defaults(func=cmd_roundtrip)
+    p.set_defaults(func=cmd_roundtrip, parser=p)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     if extra:
         # under the usage line of the subcommand, which lists its flags,
         # where parse_args would print the top-level one
-        sub, = (a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-        sub.choices[args.command].error(
-            f"unrecognized arguments: {' '.join(extra)}")
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

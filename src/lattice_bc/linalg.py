@@ -1,11 +1,14 @@
-"""Tridiagonal eigensolver for Jacobi matrices, over the whole spectrum.
+"""Eigensolver for the unit-coupled Jacobi matrix, over the whole spectrum.
 
-tridiag_eigensystem brackets every eigenvalue by multisection on Sturm
-counts (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987), to
-_BRACKET_WIDTH of the Gershgorin scale in at most three Sturm passes,
-then refines it by Rayleigh-quotient steps through a twisted
-factorization of T - lambda, which also gives its eigenvector as
-products of pivot ratios (Fernando, SIAM J. Matrix Anal. Appl. 18,
+T is the symmetric tridiagonal matrix with diagonal d and every
+off-diagonal 1, the discrete Schrodinger operator's, so e_i^2 = 1 in
+every recurrence and the Gershgorin radius is 1 at the ends and 2
+inside.  tridiag_eigensystem brackets every eigenvalue by multisection
+on Sturm counts (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8,
+1987), to _BRACKET_WIDTH of the Gershgorin scale in at most three
+Sturm passes, then refines it by Rayleigh-quotient steps through a
+twisted factorization of T - lambda, which also gives its eigenvector
+as products of pivot ratios (Fernando, SIAM J. Matrix Anal. Appl. 18,
 1997; Dhillon & Parlett, Linear Algebra Appl. 387, 2004).  Everything
 is deterministic numpy array arithmetic; numpy.linalg is deliberately
 not used so that library results and test oracles stay independent.
@@ -67,21 +70,20 @@ class ConvergenceFailure(Exception):
     """Eigendata failed a collision, finiteness or residual check."""
 
 
-def _sturm_counts(d, e2, xs):
+def _sturm_counts(d, xs):
     """Number of eigenvalues strictly below each shift in xs.
 
-    Counts the pivots q_1 = d_1 - x, q_i = d_i - x - e2_{i-1} / q_{i-1}
-    with a set sign bit, unclamped: in IEEE arithmetic a zero pivot
-    makes the next one infinite and the one after finite again (Demmel,
-    Dhillon & Ren, Electron. Trans. Numer. Anal. 3, 1995).  Every e2
-    must be positive, or 0 / 0 can arise.
+    Counts the pivots q_1 = d_1 - x, q_i = d_i - x - 1 / q_{i-1} with a
+    set sign bit, unclamped: in IEEE arithmetic a zero pivot makes the
+    next one infinite and the one after finite again (Demmel, Dhillon &
+    Ren, Electron. Trans. Numer. Anal. 3, 1995).
     """
     xs = np.asarray(xs, dtype=float)
     n = d.size
     # pivots of _COUNT_BLOCK sites at a time, in a buffer reused in
     # place: a block's rows start as d_i - x, each site then subtracts
-    # e2 / q of the row above it, and the sign bits are counted once per
-    # block.  The arithmetic stays that of q = d_i - x - e2 / q
+    # 1 / q of the row above it, and the sign bits are counted once per
+    # block.  The arithmetic stays that of q = d_i - x - 1 / q
     q = np.empty((min(n, _COUNT_BLOCK),) + xs.shape)
     # the block's rows as views made once, not once per site
     pivot = list(q)
@@ -94,12 +96,12 @@ def _sturm_counts(d, e2, xs):
             if start:
                 # the last pivot of the block before, read before the
                 # block's rows overwrite it
-                np.divide(e2[start - 1], pivot[-1], out=tmp)
+                np.divide(1.0, pivot[-1], out=tmp)
             np.subtract(d[start:start + rows, None], xs, out=q[:rows])
             if start:
                 pivot[0] -= tmp
             for j in range(1, rows):
-                np.divide(e2[start + j - 1], pivot[j - 1], out=tmp)
+                np.divide(1.0, pivot[j - 1], out=tmp)
                 pivot[j] -= tmp
             # a pivot of -0.0 counts as negative, as its sign bit says;
             # the signs of a block of at most 127 sites sum in int8
@@ -108,7 +110,7 @@ def _sturm_counts(d, e2, xs):
     return count
 
 
-def _multisect(d, e2, lower, upper, target, pivmin, width=None):
+def _multisect(d, lower, upper, target, pivmin, width=None):
     """Bisect the brackets [lower, upper] of eigenvalues number target.
 
     Each Sturm pass counts one full tree of nested midpoints
@@ -123,9 +125,6 @@ def _multisect(d, e2, lower, upper, target, pivmin, width=None):
             _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin)
         return bool(np.all(upper - lower <= tol))
 
-    # a zero e_i^2 (a split, or an underflowed square) becomes the
-    # smallest normal number, so that 0 / 0 cannot arise in the count
-    e2 = np.maximum(e2, np.finfo(float).tiny)
     steps = 0
     while steps < _BISECTION_STEPS and not settled():
         # brackets equal bit for bit share one tree, column group[k] for
@@ -149,7 +148,7 @@ def _multisect(d, e2, lower, upper, target, pivmin, width=None):
             level_lo = np.concatenate((level_lo, mid))
             level_hi = np.concatenate((mid, level_hi))
         tree = np.concatenate(mids)
-        counts = _sturm_counts(d, e2, tree.ravel()).reshape(tree.shape)
+        counts = _sturm_counts(d, tree.ravel()).reshape(tree.shape)
         node = np.zeros(lower.size, dtype=np.int64)
         for level in range(depth):
             if level and (steps == _BISECTION_STEPS or settled()):
@@ -164,8 +163,8 @@ def _multisect(d, e2, lower, upper, target, pivmin, width=None):
     return lower, upper
 
 
-def _pivots(rows, e2s, pivmin=None):
-    """Pivots p_0 = rows_0, p_i = rows_i - e2s_{i-1} / p_{i-1}, columnwise.
+def _pivots(rows, pivmin=None):
+    """Pivots p_0 = rows_0, p_i = rows_i - 1 / p_{i-1}, columnwise.
 
     With pivmin, each pivot within pivmin of zero is set to -pivmin
     before it divides; the last pivot, which divides nothing, is left
@@ -175,66 +174,60 @@ def _pivots(rows, e2s, pivmin=None):
     tmp = np.empty(rows.shape[1:])
     pivots[0] = rows[0]
     above = pivots[0]
-    for row, e2row, below in zip(rows[1:], e2s, pivots[1:]):
+    for row, below in zip(rows[1:], pivots[1:]):
         if pivmin is not None:
             np.copyto(above, -pivmin, where=np.abs(above) <= pivmin)
-        np.divide(e2row, above, out=tmp)
+        np.divide(1.0, above, out=tmp)
         np.subtract(row, tmp, out=below)
         above = below
     return pivots
 
 
-def _twisted(d, e, e2, lam, pivmin):
+def _twisted(d, lam, pivmin):
     """Twisted factorizations of T - lam_k for a stack of shifts.
 
-    With a_i = d_i - lam_k, the stationary pivots D_i = a_i - e_{i-1}^2 /
-    D_{i-1} run down from the top, the progressive pivots
-    R_i = a_i - e_i^2 / R_{i+1} up from the bottom, and
-    gamma_i = D_i + R_i - a_i.  At the twist r = argmin |gamma_i|, the
-    vector z with z_r = 1, z_i = -e_i z_{i+1} / D_i above r and
-    z_i = -e_{i-1} z_{i-1} / R_i below it, solves
+    With a_i = d_i - lam_k, the stationary pivots D_i = a_i - 1 / D_{i-1}
+    run down from the top, the progressive pivots R_i = a_i - 1 / R_{i+1}
+    up from the bottom, and gamma_i = D_i + R_i - a_i.  At the twist
+    r = argmin |gamma_i|, the vector z with z_r = 1, z_i = -z_{i+1} / D_i
+    above r and z_i = -z_{i-1} / R_i below it, solves
     (T - lam_k) z = gamma_r e_r.  Returns the Rayleigh-quotient step
     gamma_r / |z|^2, the unit vectors z / |z| as the rows of a (K, n)
     array, and the residual bounds |gamma_r| / |z|.
     """
     n = d.size
-    # row i of the (n, 2, K) tables holds site i for every shift, so each
+    # row i of the (n, 2, K) table holds site i for every shift, so each
     # step reads contiguous memory; one loop runs both recurrences, the
     # progressive one on reversed rows
     a = d[:, None] - lam
     rows = np.stack((a, a[::-1]), axis=1)
-    # the couplings are materialized per shift: a division reads a
-    # contiguous row faster than a stride-0 view
-    e2s = np.repeat(np.stack((e2, e2[::-1]), axis=1)[:, :, None], lam.size,
-                    axis=2)
     # where every pivot that divides stays beyond pivmin the clamp never
-    # acts; only the other recurrences, NaN included, are rerun clamped
+    # acts; only the other recurrences, NaN included, are rerun clamped.
+    # A shift far from every eigenvalue may overflow; its row then fails
+    # the caller's finiteness check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pivots = _pivots(rows, e2s)
+        pivots = _pivots(rows)
         rerun = ~np.all(np.abs(pivots[:-1]) > pivmin, axis=0)
         if rerun.any():
-            pivots[:, rerun] = _pivots(rows[:, rerun], e2s[:, rerun], pivmin)
-    last = pivots[-1]
-    np.copyto(last, -pivmin, where=np.abs(last) <= pivmin)
-    top = pivots[:, 0]
-    bottom = pivots[::-1, 1]
-    gamma = top + bottom - a
-    twist = np.argmin(np.abs(gamma), axis=0)
-    gamma = gamma[twist, np.arange(lam.size)]
-    # ratios z_i / z_{i+1} above the twist and z_i / z_{i-1} below it;
-    # ones elsewhere, so two running products meet at z_r = 1.  The
-    # masks cover up's last row and down's first, which no ratio fills
-    site = np.arange(n)[:, None]
-    minus_e = -e[:, None]
-    up = np.empty_like(a)
-    np.divide(minus_e, top[:-1], out=up[:-1])
-    np.copyto(up, 1.0, where=site >= twist)
-    down = np.empty_like(a)
-    np.divide(minus_e, bottom[1:], out=down[1:])
-    np.copyto(down, 1.0, where=site <= twist)
-    # a shift far from every eigenvalue may overflow; its row then
-    # fails the caller's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
+            pivots[:, rerun] = _pivots(rows[:, rerun], pivmin)
+        last = pivots[-1]
+        np.copyto(last, -pivmin, where=np.abs(last) <= pivmin)
+        top = pivots[:, 0]
+        bottom = pivots[::-1, 1]
+        gamma = top + bottom - a
+        twist = np.argmin(np.abs(gamma), axis=0)
+        gamma = gamma[twist, np.arange(lam.size)]
+        # ratios z_i / z_{i+1} above the twist and z_i / z_{i-1} below
+        # it; ones elsewhere, so two running products meet at z_r = 1.
+        # The masks cover up's last row and down's first, which no ratio
+        # fills
+        site = np.arange(n)[:, None]
+        up = np.empty_like(a)
+        np.divide(-1.0, top[:-1], out=up[:-1])
+        np.copyto(up, 1.0, where=site >= twist)
+        down = np.empty_like(a)
+        np.divide(-1.0, bottom[1:], out=down[1:])
+        np.copyto(down, 1.0, where=site <= twist)
         np.multiply.accumulate(up[::-1], axis=0, out=up[::-1])
         np.multiply.accumulate(down, axis=0, out=down)
         up *= down
@@ -244,8 +237,9 @@ def _twisted(d, e, e2, lam, pivmin):
         return gamma / norm2, z / norm[:, None], np.abs(gamma) / norm
 
 
-def tridiag_eigensystem(d, e):
-    """Eigenvalues, unit eigenvectors and residuals of the tridiagonal (d, e).
+def tridiag_eigensystem(d):
+    """Eigenvalues, unit eigenvectors and residuals of the Jacobi matrix T
+    with diagonal d and unit off-diagonals.
 
     Returns the eigenvalues in ascending order, the matching unit
     eigenvectors as the rows of an (n, n) array, and for each row a
@@ -257,57 +251,56 @@ def tridiag_eigensystem(d, e):
     within _CLUSTER |T| of its own; a vector that loses all but
     _KEPT of its length to them, as the second of an exactly repeated
     eigenvalue does, reports an infinite residual.  Nothing here raises
-    on convergence: callers judge the residuals.
+    or warns on convergence or overflow: callers judge the residuals.
     """
     d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
     n = d.size
-    if e.shape != (n - 1,):
-        raise ValueError("off-diagonal length mismatch")
     if n == 1:
         return d.copy(), np.ones((1, 1)), np.zeros(1)
-    e2 = e * e
-    radius = np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    scale = max(abs(lo), abs(hi), 1.0)
-    lo -= 2.0 * _EPS * scale
-    hi += 2.0 * _EPS * scale
-    pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * scale)
-    cluster_tol = _CLUSTER * max(float(np.max(np.abs(d) + radius)), 1.0)
-    target = np.arange(1, n + 1)
-    lower, upper = _multisect(d, e2, np.full(n, lo), np.full(n, hi), target,
-                              pivmin, _BRACKET_WIDTH * scale)
-    lam = 0.5 * (lower + upper)
-    vectors = np.empty((n, n))
-    residual = np.empty(n)
-    # rows whose bracket comes within cluster_tol of a neighbour's
-    near = lower[1:] - upper[:-1] <= cluster_tol
-    bisect = np.append(near, False) | np.append(False, near)
-    free = np.flatnonzero(~bisect)
-    if free.size:
-        shift = lam[free]
-        for _ in range(_CORRECTIONS):
-            step = _twisted(d, e, e2, shift, pivmin)[0]
-            moved = shift + step
-            inside = (moved >= lower[free]) & (moved <= upper[free])
-            bisect[free[~inside]] = True
-            shift = np.where(inside, moved, shift)
-        # the vectors come from one more pass at the final shift, whose
-        # own step shows whether the shift has settled
-        step, vectors[free], residual[free] = _twisted(d, e, e2, shift, pivmin)
-        bisect[free[np.abs(step) > _SETTLED * _EPS * scale]] = True
-        lam[free] = shift
-    rest = np.flatnonzero(bisect)
-    if rest.size:
-        lower, upper = _multisect(d, e2, lower[rest], upper[rest],
-                                  target[rest], pivmin)
-        lam[rest] = 0.5 * (lower + upper)
-        _, vectors[rest], residual[rest] = _twisted(d, e, e2, lam[rest],
-                                                    pivmin)
-    # partners of k: the lower eigenvalues within cluster_tol of lam[k]
-    first = np.searchsorted(lam, lam - cluster_tol)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    radius = np.full(n, 2.0)
+    radius[[0, -1]] = 1.0
+    # a diagonal near the float64 limit overflows the bounds, the
+    # midpoints or the pivots; its rows fail the caller's finiteness check
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = float(np.min(d - radius))
+        hi = float(np.max(d + radius))
+        # the row-sum norm max(|d_i| + radius_i, 1), bit for bit
+        scale = max(abs(lo), abs(hi), 1.0)
+        lo -= 2.0 * _EPS * scale
+        hi += 2.0 * _EPS * scale
+        pivmin = max(np.finfo(float).tiny / _EPS, _EPS * _EPS * scale)
+        cluster_tol = _CLUSTER * scale
+        target = np.arange(1, n + 1)
+        lower, upper = _multisect(d, np.full(n, lo), np.full(n, hi), target,
+                                  pivmin, _BRACKET_WIDTH * scale)
+        lam = 0.5 * (lower + upper)
+        vectors = np.empty((n, n))
+        residual = np.empty(n)
+        # rows whose bracket comes within cluster_tol of a neighbour's
+        near = lower[1:] - upper[:-1] <= cluster_tol
+        bisect = np.append(near, False) | np.append(False, near)
+        free = np.flatnonzero(~bisect)
+        if free.size:
+            shift = lam[free]
+            for _ in range(_CORRECTIONS):
+                step = _twisted(d, shift, pivmin)[0]
+                moved = shift + step
+                inside = (moved >= lower[free]) & (moved <= upper[free])
+                bisect[free[~inside]] = True
+                shift = np.where(inside, moved, shift)
+            # the vectors come from one more pass at the final shift,
+            # whose own step shows whether the shift has settled
+            step, vectors[free], residual[free] = _twisted(d, shift, pivmin)
+            bisect[free[np.abs(step) > _SETTLED * _EPS * scale]] = True
+            lam[free] = shift
+        rest = np.flatnonzero(bisect)
+        if rest.size:
+            lower, upper = _multisect(d, lower[rest], upper[rest],
+                                      target[rest], pivmin)
+            lam[rest] = 0.5 * (lower + upper)
+            _, vectors[rest], residual[rest] = _twisted(d, lam[rest], pivmin)
+        # partners of k: the lower eigenvalues within cluster_tol of lam[k]
+        first = np.searchsorted(lam, lam - cluster_tol)
         for k in np.flatnonzero(first < np.arange(n)):
             v = vectors[k]
             for u in vectors[first[k]:k]:
@@ -315,8 +308,8 @@ def tridiag_eigensystem(d, e):
             length = np.sqrt(v @ v)
             v /= length
             r = (d - lam[k]) * v
-            r[:-1] += e * v[1:]
-            r[1:] += e * v[:-1]
+            r[:-1] += v[1:]
+            r[1:] += v[:-1]
             # a vector that its partners all but cancel has lost its
             # orthogonality to them along with its length
             residual[k] = np.sqrt(r @ r) if length > _KEPT else np.inf

@@ -152,9 +152,8 @@ def eigen_decompose(H, tol=Tolerances()):
         raise ValueError("H must be a Hamiltonian")
     if not isinstance(tol, Tolerances):
         raise ValueError("tol must be a Tolerances instance")
-    N = H.size
     norm_h = max(H.norm_bound(), 1.0)
-    lam, unit, residual = linalg.tridiag_eigensystem(H.diag, np.ones(N - 1))
+    lam, unit, residual = linalg.tridiag_eigensystem(H.diag)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vectors = unit / unit[:, :1]
         rho = np.einsum("kn,kn->k", vectors, vectors)

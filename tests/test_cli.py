@@ -521,8 +521,8 @@ class TestDeeplyNestedInput:
 
 
 class TestNonFiniteResults:
-    """Commands whose arithmetic overflows exit 2 with one error line
-    and no numpy warning."""
+    """Commands whose arithmetic overflows exit 2, or 4 for eigendata,
+    with one error line and no numpy warning."""
 
     POTENTIAL = '{"kind": "potential", "values": [1e200, 1e200, 1e200]}'
 
@@ -553,6 +553,16 @@ class TestNonFiniteResults:
               for a in args))
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("values", ["[1.7976931348623157e308, 0.0]",
+                                        "[1e308, -1e308, 0.0]",
+                                        "[1.7e308, 1.7e308, 1.0]"])
+    def test_spectral_exits_4_with_one_error_line(self, tmp_path, values):
+        pot = tmp_path / "p.json"
+        pot.write_text(f'{{"kind": "potential", "values": {values}}}')
+        proc = run_in_subprocess("spectral", "--potential", str(pot))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "error: non-finite eigendata at eigenvalue index 0\n")
 
 
 GOLDEN = ROOT / "tests" / "golden"

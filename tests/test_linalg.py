@@ -25,25 +25,24 @@ from helpers import decimal_eigendata
 EPS = np.finfo(float).eps
 
 
-def dense(d, e):
-    A = np.diag(d)
-    if d.size > 1:
-        A += np.diag(e, 1) + np.diag(e, -1)
-    return A
+def dense(d):
+    """The Jacobi matrix with diagonal d and unit off-diagonals."""
+    ones = np.ones(d.size - 1)
+    return np.diag(d) + np.diag(ones, 1) + np.diag(ones, -1)
 
 
-def row_sum_norm(d, e):
+def row_sum_norm(d):
     radius = np.zeros(d.size)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
+    radius[:-1] += 1.0
+    radius[1:] += 1.0
     return max(float(np.max(np.abs(d) + radius)), 1.0)
 
 
-def check_rows(d, e, lam, vectors, residual, passing):
+def check_rows(d, lam, vectors, residual, passing):
     """The rows in passing are orthonormal eigenvectors whose residual
     is within 1e-10 |T| and within the bound the solver reported."""
-    A = dense(d, e)
-    norm = row_sum_norm(d, e)
+    A = dense(d)
+    norm = row_sum_norm(d)
     V = vectors[passing]
     for v, value, bound in zip(V, lam[passing], residual[passing]):
         r = A @ v - value * v
@@ -60,14 +59,25 @@ def gaps(values):
     return out
 
 
+def wells(n, sites, depth):
+    d = np.zeros(n)
+    d[list(sites)] = -depth
+    return d
+
+
+def mirrored(block, height, sites):
+    """block, a barrier of sites at height, and block reversed."""
+    block = np.asarray(block, dtype=float)
+    return np.concatenate((block, np.full(sites, height), block[::-1]))
+
+
 class TestEigen:
     def test_eigenvalues_match_numpy(self):
         rng = np.random.default_rng(8)
         for n in (1, 2, 3, 10, 33, 64):
             d = rng.uniform(-2, 2, n)
-            e = np.ones(n - 1)
-            lam, _, _ = linalg.tridiag_eigensystem(d, e)
-            ref = np.linalg.eigvalsh(dense(d, e))
+            lam, _, _ = linalg.tridiag_eigensystem(d)
+            ref = np.linalg.eigvalsh(dense(d))
             scale = max(1.0, np.abs(ref).max())
             assert np.max(np.abs(lam - ref)) <= 1e-12 * scale
 
@@ -75,55 +85,48 @@ class TestEigen:
         rng = np.random.default_rng(9)
         for n in (2, 5, 16, 40):
             d = rng.uniform(-2, 2, n)
-            e = np.ones(n - 1)
-            lam, vectors, residual = linalg.tridiag_eigensystem(d, e)
-            assert np.all(residual <= 1e-10 * row_sum_norm(d, e))
-            check_rows(d, e, lam, vectors, residual, np.ones(n, dtype=bool))
+            lam, vectors, residual = linalg.tridiag_eigensystem(d)
+            assert np.all(residual <= 1e-10 * row_sum_norm(d))
+            check_rows(d, lam, vectors, residual, np.ones(n, dtype=bool))
 
     def test_clustered_eigenvalues_stay_orthogonal(self):
         # decoupled identical wells give a near-degenerate pair or
         # triple; in the triple the top member's partners include one
         # that is itself clustered
-        for n, wells in ((24, (2, 21)), (40, (11, 20, 29))):
-            d = np.zeros(n)
-            d[list(wells)] = -6.0
-            e = np.ones(n - 1)
-            lam, vectors, residual = linalg.tridiag_eigensystem(d, e)
-            ref = np.linalg.eigvalsh(dense(d, e))
+        for n, sites in ((24, (2, 21)), (40, (11, 20, 29))):
+            d = wells(n, sites, 6.0)
+            lam, vectors, residual = linalg.tridiag_eigensystem(d)
+            ref = np.linalg.eigvalsh(dense(d))
             assert np.max(np.abs(lam - ref)) <= 1e-10
-            top = len(wells) - 1
-            assert lam[top] - lam[0] <= 1e-6 * row_sum_norm(d, e)
-            assert np.all(residual <= 1e-10 * row_sum_norm(d, e))
-            check_rows(d, e, lam, vectors, residual, np.ones(n, dtype=bool))
+            top = len(sites) - 1
+            assert lam[top] - lam[0] <= 1e-6 * row_sum_norm(d)
+            assert np.all(residual <= 1e-10 * row_sum_norm(d))
+            check_rows(d, lam, vectors, residual, np.ones(n, dtype=bool))
 
     def test_single_site(self):
-        lam, vectors, residual = linalg.tridiag_eigensystem(
-            np.array([4.5]), np.zeros(0))
+        lam, vectors, residual = linalg.tridiag_eigensystem(np.array([4.5]))
         assert np.array_equal(lam, [4.5])
         assert np.array_equal(vectors, [[1.0]])
         assert np.array_equal(residual, [0.0])
 
-    def test_off_diagonal_length_checked(self):
-        with pytest.raises(ValueError):
-            linalg.tridiag_eigensystem(np.zeros(3), np.ones(3))
-
-    @pytest.mark.parametrize("d", [np.tile([0.5, -1.0, 0.25], 2),
-                                   np.zeros(26)])
-    def test_repeated_eigenvalue_is_reported(self, d):
-        # two identical blocks split by a zero off-diagonal: every
-        # eigenvalue is double, and the second vector of each pair is
-        # the first one again, so its row must not pass.  In the free
-        # chain the double eigenvalue 0 bisects to -5e-32 and 5e-32,
-        # whose vectors differ by rounding only
-        n = d.size
-        e = np.ones(n - 1)
-        e[n // 2 - 1] = 0.0
-        lam, vectors, residual = linalg.tridiag_eigensystem(d, e)
-        ref = np.linalg.eigvalsh(dense(d, e))
+    @pytest.mark.parametrize("d, repeated", [
+        (mirrored([0.5, -1.0, 0.25], 1e3, 8), [1, 3, 5]),
+        (mirrored(np.zeros(13), 1e3, 8), list(range(1, 26, 2))),
+        (wells(40, (5, 34), 9.0), [1]),
+    ], ids=["mirrored", "mirrored-free", "deep-wells"])
+    def test_repeated_eigenvalue_is_reported(self, d, repeated):
+        # a block and its mirror image behind eight sites at 1e3 couple
+        # through them by about 1e-24, far below the roundoff of 1e3:
+        # every eigenvalue of the block is double in float64, and the
+        # second vector of each pair is the first one again, so its row
+        # must not pass.  Two deep wells far apart share their ground
+        # state the same way
+        lam, vectors, residual = linalg.tridiag_eigensystem(d)
+        ref = np.linalg.eigvalsh(dense(d))
         assert np.max(np.abs(lam - ref)) <= 1e-12 * np.abs(ref).max()
-        passing = residual <= 1e-10 * row_sum_norm(d, e)
-        assert passing.sum() == n // 2
-        check_rows(d, e, lam, vectors, residual, passing)
+        passing = residual <= 1e-10 * row_sum_norm(d)
+        assert np.flatnonzero(~passing).tolist() == repeated
+        check_rows(d, lam, vectors, residual, passing)
 
     @pytest.mark.parametrize("width, corrections",
                              [(1e-2, 3), (1e-4, 2), (1e-6, 1)])
@@ -136,12 +139,11 @@ class TestEigen:
         rng = np.random.default_rng(10)
         for n in (7, 30, 64):
             d = rng.uniform(-1.5, 1.5, n)
-            e = np.ones(n - 1)
-            lam, vectors, residual = linalg.tridiag_eigensystem(d, e)
-            ref = np.linalg.eigvalsh(dense(d, e))
+            lam, vectors, residual = linalg.tridiag_eigensystem(d)
+            ref = np.linalg.eigvalsh(dense(d))
             assert np.max(np.abs(lam - ref)) <= 1e-12 * np.abs(ref).max()
-            assert np.all(residual <= 1e-10 * row_sum_norm(d, e))
-            check_rows(d, e, lam, vectors, residual, np.ones(n, dtype=bool))
+            assert np.all(residual <= 1e-10 * row_sum_norm(d))
+            check_rows(d, lam, vectors, residual, np.ones(n, dtype=bool))
 
     def test_steps_outside_the_bracket_are_refused(self, monkeypatch):
         # the first Rayleigh-quotient step of every row is forced onto
@@ -149,13 +151,12 @@ class TestEigen:
         # only the bracket test keeps each row on its own eigenvalue
         rng = np.random.default_rng(12)
         d = rng.uniform(-1.0, 1.0, 20)
-        e = np.ones(19)
-        ref = np.linalg.eigvalsh(dense(d, e))
+        ref = np.linalg.eigvalsh(dense(d))
         twisted = linalg._twisted
         calls = []
 
-        def jump(d_, e_, e2_, lam, pivmin):
-            step, vectors, residual = twisted(d_, e_, e2_, lam, pivmin)
+        def jump(d_, lam, pivmin):
+            step, vectors, residual = twisted(d_, lam, pivmin)
             calls.append(lam.size)
             if len(calls) == 1:
                 k = np.argmin(np.abs(ref - lam[:, None]), axis=1)
@@ -163,10 +164,10 @@ class TestEigen:
             return step, vectors, residual
 
         monkeypatch.setattr(linalg, "_twisted", jump)
-        lam, vectors, residual = linalg.tridiag_eigensystem(d, e)
+        lam, vectors, residual = linalg.tridiag_eigensystem(d)
         assert calls[0] == 20
         assert np.max(np.abs(lam - ref)) <= 1e-12 * np.abs(ref).max()
-        check_rows(d, e, lam, vectors, residual, np.ones(20, dtype=bool))
+        check_rows(d, lam, vectors, residual, np.ones(20, dtype=bool))
 
     def test_isolated_eigenvalues_are_not_bisected(self, monkeypatch):
         # the refinement must take over from the coarse brackets: on a
@@ -175,14 +176,14 @@ class TestEigen:
         multisect = linalg._multisect
 
         def spy(*args, **kwargs):
-            calls.append(args[2].size)
+            calls.append(args[1].size)
             return multisect(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "_multisect", spy)
         rng = np.random.default_rng(11)
         for amplitude in (0.1, 0.3, 1.0):
             d = rng.uniform(-amplitude, amplitude, 64)
-            linalg.tridiag_eigensystem(d, np.ones(63))
+            linalg.tridiag_eigensystem(d)
         assert calls == [64, 64, 64]
 
     def test_coarse_stage_takes_three_sturm_passes(self, monkeypatch):
@@ -208,204 +209,204 @@ class TestEigen:
                 for _ in range(2):
                     passes.clear()
                     d = rng.uniform(-amplitude, amplitude, n)
-                    linalg.tridiag_eigensystem(d, np.ones(n - 1))
+                    linalg.tridiag_eigensystem(d)
                     assert passes[0] == 3, (n, amplitude)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 80), amplitude=st.floats(0.1, 3.0),
-           copies=st.integers(1, 3), joint=st.sampled_from((1e-9, 0.0)),
+           barrier=st.sampled_from((None, (10.0, 2), (10.0, 4), (30.0, 6),
+                                    (100.0, 8), (1e3, 6))),
            integral=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_one_at_a_time_reference(self, n, amplitude, copies,
-                                             joint, integral, seed):
-        # copies > 1 repeats one block of the diagonal, joined by
-        # off-diagonals near 1e-9, so every eigenvalue sits in a
-        # cluster of that many; exactly decoupled copies give equal
-        # eigenvalues, whose second vectors cannot pass; integer
-        # diagonals give exact zero eigenvalues and zero pivots
+    def test_matches_one_at_a_time_reference(self, n, amplitude, barrier,
+                                             integral, seed):
+        # a barrier (height, sites) puts a block and its mirror image on
+        # either side of it, so every eigenvalue of the block sits in a
+        # pair: about 4e-5 apart at (10, 2), 5e-7 at (10, 4), 6e-12 at
+        # (30, 6), and equal in float64 at (100, 8) and (1e3, 6), whose
+        # second vectors cannot pass; integer diagonals give exact zero
+        # eigenvalues and zero pivots
         rng = np.random.default_rng(seed)
-        block = -(-n // copies)
-        d = rng.uniform(-amplitude, amplitude, block)
+        if barrier is None:
+            d = rng.uniform(-amplitude, amplitude, n)
+        else:
+            height, sites = barrier
+            d = rng.uniform(-amplitude, amplitude, max((n - sites) // 2, 1))
         if integral:
             d = np.round(d)
-        d = np.tile(d, copies)[:n]
-        e = np.ones(n - 1)
-        joints = np.arange(block - 1, n - 1, block)
-        e[joints] = joint * rng.uniform(0.5, 2.0, joints.size)
-        lam, vectors, residual = linalg.tridiag_eigensystem(d, e)
-        ref = np.linalg.eigvalsh(dense(d, e))
-        scale = max(1.0, np.abs(ref).max())
-        assert np.max(np.abs(lam - ref)) <= 1e-12 * scale
-        passing = residual <= 1e-10 * row_sum_norm(d, e)
+        if barrier is not None:
+            d = mirrored(d, height, sites)
+        lam, vectors, residual = linalg.tridiag_eigensystem(d)
+        ref = np.linalg.eigvalsh(dense(d))
+        norm = row_sum_norm(d)
+        assert np.max(np.abs(lam - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+        passing = residual <= 1e-10 * norm
         # a row more than the cluster tolerance from every other
         # eigenvalue always passes
-        assert np.all(passing[gaps(ref) > 1e-6 * row_sum_norm(d, e)])
-        check_rows(d, e, lam, vectors, residual, passing)
-        # eigen_decompose of the unit-coupled Jacobi matrix on d: rho
-        # within 1e-11 of the decimal reference, plus the eigenvector
-        # conditioning eps |H| / gap where eigenvalues crowd; it may
-        # refuse only eigenvalues that float64 cannot separate
+        assert np.all(passing[gaps(ref) > 1e-6 * norm])
+        check_rows(d, lam, vectors, residual, passing)
+        # eigen_decompose: rho within 1e-11 of the decimal reference,
+        # plus the eigenvector conditioning eps |H| / gap where
+        # eigenvalues crowd; it may refuse only eigenvalues that float64
+        # cannot separate
         H = Hamiltonian(diag=d)
-        norm_h = max(H.norm_bound(), 1.0)
-        oracle = np.linalg.eigvalsh(H.to_dense())
         try:
             sd = eigen_decompose(H)
         except ConvergenceFailure:
-            assert np.min(np.diff(oracle)) <= 1e-13 * norm_h
+            assert np.min(np.diff(ref)) <= 1e-13 * norm
             return
-        assert np.max(np.abs(sd.eigenvalues - oracle)) <= 1e-12 * norm_h
-        if n > 1 and np.min(np.diff(oracle)) <= 1e-10 * norm_h:
+        assert np.max(np.abs(sd.eigenvalues - ref)) <= 1e-12 * norm
+        if d.size > 1 and np.min(np.diff(ref)) <= 1e-10 * norm:
             return  # guesses too close for the decimal Newton reference
-        lam_ref, rho_ref = decimal_eigendata(H.diag, oracle)
-        bound = 1e-11 + 100 * EPS * norm_h / gaps(lam_ref)
+        lam_ref, rho_ref = decimal_eigendata(H.diag, ref)
+        bound = 1e-11 + 100 * EPS * norm / gaps(lam_ref)
         assert np.all(np.abs(sd.norming / rho_ref - 1.0) <= bound)
 
 
-def gershgorin_setup(d, e):
-    """The squares, Gershgorin bracket, scale and pivot floor that
+def gershgorin_setup(d):
+    """The Gershgorin bracket, scale and pivot floor that
     tridiag_eigensystem hands to _multisect and _twisted."""
-    radius = np.append(np.abs(e), 0.0) + np.append(0.0, np.abs(e))
+    radius = np.full(d.size, 2.0)
+    radius[[0, -1]] = 1.0
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
     scale = max(abs(lo), abs(hi), 1.0)
     pivmin = max(np.finfo(float).tiny / EPS, EPS * EPS * scale)
-    return e * e, lo - 2 * EPS * scale, hi + 2 * EPS * scale, scale, pivmin
-
-
-def wells(n, sites, depth):
-    d = np.zeros(n)
-    d[list(sites)] = -depth
-    return d, np.ones(n - 1)
-
-
-def split_chain(n):
-    e = np.ones(n - 1)
-    e[n // 2 - 1] = 0.0
-    return np.zeros(n), e
+    return lo - 2 * EPS * scale, hi + 2 * EPS * scale, scale, pivmin
 
 
 class TestKernels:
-    @pytest.mark.parametrize("d, e", [
-        (np.random.default_rng(13).uniform(-0.3, 0.3, 64), np.ones(63)),
+    @pytest.mark.parametrize("d", [
+        np.random.default_rng(13).uniform(-0.3, 0.3, 64),
         wells(40, (10, 29), 4.0),
-        split_chain(26),
-    ], ids=["random", "wells", "split"])
-    def test_brackets_do_not_depend_on_the_stack(self, d, e):
+        wells(40, (5, 34), 9.0),
+    ], ids=["random", "wells", "deep-wells"])
+    def test_brackets_do_not_depend_on_the_stack(self, d):
         # a stack shares one tree of midpoints among equal brackets and
         # takes shallower trees than a row alone: neither may change a
-        # bit of any bracket, at the 1e-6 width or at the roundoff stop
-        e2, lo, hi, scale, pivmin = gershgorin_setup(d, e)
+        # bit of any bracket, at the _BRACKET_WIDTH width or at the
+        # roundoff stop
+        lo, hi, scale, pivmin = gershgorin_setup(d)
+        width = linalg._BRACKET_WIDTH * scale
         n = d.size
         target = np.arange(1, n + 1)
-        lower, upper = linalg._multisect(d, e2, np.full(n, lo),
-                                         np.full(n, hi), target, pivmin,
-                                         1e-6 * scale)
-        fine = linalg._multisect(d, e2, lower, upper, target, pivmin)
+        lower, upper = linalg._multisect(d, np.full(n, lo), np.full(n, hi),
+                                         target, pivmin, width)
+        fine = linalg._multisect(d, lower, upper, target, pivmin)
         for k in range(n):
             one = slice(k, k + 1)
-            alone = linalg._multisect(d, e2, np.full(1, lo), np.full(1, hi),
-                                      target[one], pivmin, 1e-6 * scale)
+            alone = linalg._multisect(d, np.full(1, lo), np.full(1, hi),
+                                      target[one], pivmin, width)
             assert np.array_equal(alone, (lower[one], upper[one]))
-            alone = linalg._multisect(d, e2, lower[one], upper[one],
+            alone = linalg._multisect(d, lower[one], upper[one],
                                       target[one], pivmin)
             assert np.array_equal(alone, (fine[0][one], fine[1][one]))
-        assert np.all(upper - lower <= 1e-6 * scale)
+        assert np.all(upper - lower <= width)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 64])
     def test_sturm_counts_match_site_by_site(self, n):
         # the count runs a block of sites at a time; the sizes put the
-        # last site on, before and after a block edge.  Shifts at each
-        # d_i make a pivot exactly 0 and the next one infinite; with
+        # last site on, before and after a block edge.  Shift d_0 makes
+        # the first pivot exactly 0 and the next one infinite; with
         # -0.0 at every even site, shift 0 makes every even pivot -0.0,
-        # which counts as negative
+        # which counts as negative; with d_i = 1 / q_{i-1} at every
+        # third site from the second, shift 0 makes those pivots
+        # exactly 0, site 7 among them, the last of the first block
         rng = np.random.default_rng(15)
-        split = rng.uniform(0.25, 2.0, n - 1)
-        split[::3] = 0.0
         for d in (rng.uniform(-1.0, 1.0, n),
                   np.where(np.arange(n) % 2, rng.uniform(-1.0, 1.0, n),
-                           -0.0)):
-            for e2 in (rng.uniform(0.25, 2.0, n - 1),
-                       np.maximum(split, np.finfo(float).tiny)):
-                xs = np.concatenate((d, [0.0], rng.uniform(-3.0, 3.0, 40)))
-                got = linalg._sturm_counts(d, e2, xs)
-                want = [site_by_site_count(d, e2, x) for x in xs.tolist()]
-                assert got.tolist() == want
+                           -0.0),
+                  zero_pivots(rng.uniform(-1.0, 1.0, n), range(1, n, 3))):
+            xs = np.concatenate((d, [0.0], rng.uniform(-3.0, 3.0, 40)))
+            got = linalg._sturm_counts(d, xs)
+            want = [site_by_site_count(d, x) for x in xs.tolist()]
+            assert got.tolist() == want
 
     def test_twisted_columns_are_independent(self):
         # shift d[0] makes the first stationary pivot exactly 0; shift 0
         # makes it 1e-40, within pivmin but not zero, and makes the
         # progressive pivot at site m exactly 0.  Both take the clamped
-        # rerun.  With the last site split off, shift d[-1] makes the
-        # last stationary pivot exactly 0, and it divides nothing
+        # rerun.  On six sites ending in d_5 = 1 / D_4, shift 0 makes
+        # the last stationary pivot exactly 0, and it divides nothing
         rng = np.random.default_rng(14)
         n, m = 24, 9
         d = rng.uniform(-1.0, 1.0, n)
-        e = rng.uniform(0.5, 1.5, n - 1)
-        e2 = e * e
         d[0] = 1e-40
         pivot = d[-1]
         for i in range(n - 2, m, -1):
-            pivot = d[i] - e2[i] / pivot
-        d[m] = e2[m] / pivot
-        lam = np.append(linalg.tridiag_eigensystem(d, e)[0][::5], [d[0], 0.0])
-        check_twisted(d, e, lam, clamped=(-2, -1))
-        d, e = d[:6], np.append(e[:4], 0.0)
-        check_twisted(d, e, np.array([0.5, d[-1]]), clamped=(-1,))
+            pivot = d[i] - 1.0 / pivot
+        d[m] = 1.0 / pivot
+        lam = np.append(linalg.tridiag_eigensystem(d)[0][::5], [d[0], 0.0])
+        check_twisted(d, lam, clamped=(-2, -1))
+        d = zero_pivots(d[1:7], [5])
+        check_twisted(d, np.array([0.5, 0.0]), clamped=(-1,))
 
 
-def site_by_site_count(d, e2, x):
-    """Pivots q_i = d_i - x - e2_{i-1} / q_{i-1} with a set sign bit, in
-    IEEE arithmetic: a zero pivot makes the next one infinite."""
+def zero_pivots(d, sites):
+    """d with d_i = 1 / q_{i-1} at each of sites, so that the Sturm pivot
+    q_i = d_i - 1 / q_{i-1} of shift 0 is exactly 0 there; sites are at
+    least three apart, so that every q_{i-1} is finite and nonzero."""
+    d = d.copy()
+    q = d[0]
+    for i in range(1, d.size):
+        if i in sites:
+            d[i] = 1.0 / q
+        q = d[i] - (1.0 / q if q else math.copysign(math.inf, q))
+    return d
+
+
+def site_by_site_count(d, x):
+    """Pivots q_i = d_i - x - 1 / q_{i-1} with a set sign bit, in IEEE
+    arithmetic: a zero pivot makes the next one infinite."""
     count = 0
     q = 0.0
     for i, di in enumerate(d.tolist()):
         if i == 0:
             q = di - x
         else:
-            c = float(e2[i - 1])
-            q = di - x - (c / q if q else math.copysign(math.inf, q))
+            q = di - x - (1.0 / q if q else math.copysign(math.inf, q))
         count += math.copysign(1.0, q) < 0
     return count
 
 
-def check_twisted(d, e, lam, clamped):
+def check_twisted(d, lam, clamped):
     """_twisted on the stack of shifts lam equals _twisted on each shift
     alone, and in the columns clamped a clamped recurrence."""
-    e2, _, _, _, pivmin = gershgorin_setup(d, e)
-    stack = linalg._twisted(d, e, e2, lam, pivmin)
+    *_, pivmin = gershgorin_setup(d)
+    stack = linalg._twisted(d, lam, pivmin)
     for k in range(lam.size):
-        alone = linalg._twisted(d, e, e2, lam[k:k + 1], pivmin)
+        alone = linalg._twisted(d, lam[k:k + 1], pivmin)
         for got, want in zip(stack, alone):
             assert np.array_equal(got[k:k + 1], want)
     for k in clamped:
-        want = clamped_twisted(d, e, e2, lam[k], pivmin)
+        want = clamped_twisted(d, lam[k], pivmin)
         for got, value in zip(stack, want):
             assert np.array_equal(got[k], value)
         assert np.all(np.isfinite(stack[1][k]))
 
 
-def clamped_twisted(d, e, e2, lam, pivmin):
+def clamped_twisted(d, lam, pivmin):
     """_twisted for one shift, one site at a time, with every pivot
     within pivmin of zero set to -pivmin as soon as it is formed."""
     n = d.size
     a = d - lam
 
-    def pivots(a, e2):
+    def pivots(a):
         p = np.empty(n)
         for i in range(n):
-            p[i] = a[i] - e2[i - 1] / p[i - 1] if i else a[i]
+            p[i] = a[i] - 1.0 / p[i - 1] if i else a[i]
             if abs(p[i]) <= pivmin:
                 p[i] = -pivmin
         return p
 
-    top = pivots(a, e2)
-    bottom = pivots(a[::-1], e2[::-1])[::-1]
+    top = pivots(a)
+    bottom = pivots(a[::-1])[::-1]
     gamma = top + bottom - a
     r = int(np.argmin(np.abs(gamma)))
     z = np.ones(n)
     for i in range(r - 1, -1, -1):
-        z[i] = z[i + 1] * (-e[i] / top[i])
+        z[i] = z[i + 1] * (-1.0 / top[i])
     for i in range(r + 1, n):
-        z[i] = z[i - 1] * (-e[i - 1] / bottom[i])
+        z[i] = z[i - 1] * (-1.0 / bottom[i])
     norm2 = np.einsum("kn,kn->k", z[None], z[None])[0]
     norm = np.sqrt(norm2)
     return gamma[r] / norm2, z / norm, abs(gamma[r]) / norm
@@ -470,5 +471,5 @@ class TestIndependence:
                   "import numpy as np\n"
                   "from . import linalg\n"
                   "from .linalg import ConvergenceFailure\n"
-                  "linalg.tridiag_eigensystem(d, e)\n")
+                  "linalg.tridiag_eigensystem(d)\n")
         assert numpy_linalg_uses(source) == []

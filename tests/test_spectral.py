@@ -182,13 +182,24 @@ class TestEigenDecompose:
         rng = np.random.default_rng(81)
         H = build_hamiltonian(rng.uniform(-1, 1, 30), 30)
         norm_h = H.norm_bound()
-        _, _, residual = tridiag_eigensystem(H.diag, np.ones(29))
+        _, _, residual = tridiag_eigensystem(H.diag)
         eig_tol = float(np.median(residual)) / norm_h
         first = int(np.flatnonzero(residual > eig_tol * norm_h)[0])
         with pytest.raises(ConvergenceFailure,
                            match=f"eigenpair residual above eig_tol at "
                                  f"eigenvalue index {first}$"):
             eigen_decompose(H, Tolerances(eig_tol=eig_tol))
+
+    @pytest.mark.parametrize("b", [[1.7976931348623157e308, 0.0],
+                                   [1e308, -1e308, 0.0],
+                                   [1.7e308, 1.7e308, 1.0]])
+    def test_overflow_is_a_convergence_failure(self, b):
+        # the Gershgorin bounds, the bisection midpoints and the twisted
+        # pivots overflow; the eigensolver keeps those warnings to itself
+        with pytest.raises(ConvergenceFailure,
+                           match="non-finite eigendata at eigenvalue index "
+                                 "0$"):
+            eigen_decompose(build_hamiltonian(b, len(b)))
 
     def test_strong_potentials_invert(self):
         # at amplitudes 1 and 2 most eigenvectors are localized and
