@@ -8,7 +8,7 @@ data, and the bridge between boundary data and the spectral data of
 the finite Jacobi operator.
 """
 
-from .core import Tolerances, chebyshev_seq, convolve, kappa_seq
+from .core import chebyshev_seq, convolve, kappa_seq
 from .forward import (GoursatKernel, WaveField, apply_representation,
                       interval_fourier_solution, solve_goursat,
                       solve_interval, solve_semi_infinite)
@@ -27,7 +27,7 @@ from .spectral import (ConvergenceFailure, Hamiltonian, SpectralData,
                        spectral_measure)
 
 __all__ = [
-    "Tolerances", "chebyshev_seq", "convolve", "kappa_seq",
+    "chebyshev_seq", "convolve", "kappa_seq",
     "GoursatKernel", "WaveField", "apply_representation",
     "interval_fourier_solution", "solve_goursat", "solve_interval",
     "solve_semi_infinite",

@@ -159,12 +159,11 @@ def connecting_via_waves(b, T):
     control e_i: with zero initial data, the delta-driven state at time
     T - i, bit for bit, so one simulation yields all states.  Their Gram
     matrix equals C^T, the independent oracle route for connecting_matrix.
-    Requires len(b) >= T - 1.
+    The potential is zero-padded as needed, which by finite speed is
+    exact, as in solve_semi_infinite and response_kernel.
     """
     T = check_horizon(T)
     b = as_float_array(b, "potential")
-    if b.size < T - 1:
-        raise ValueError("potential too short for horizon")
     delta = np.zeros(T)
     delta[0] = 1.0
     field = solve_semi_infinite(b, delta, T)

@@ -9,10 +9,9 @@ significant digits, so identical invocations produce identical bytes.
 
 Each flag is attached only to the subcommands that read it: --output
 to all of them, --tol-det to invert, characterize and roundtrip (the
-admissibility test), --tol-eig to spectral, --seed to roundtrip, and
---alpha/--beta, given only with --method krein, to invert.  The
-tolerance defaults are the field defaults of Tolerances.  No flag may
-be abbreviated, lest a prefix such as --tol change meaning.
+admissibility test, default inversion.DET_TOL), --seed to roundtrip,
+and --alpha/--beta, given only with --method krein, to invert.  No
+flag may be abbreviated, lest a prefix such as --tol change meaning.
 """
 
 from __future__ import annotations
@@ -26,12 +25,13 @@ import numpy as np
 from . import files
 from .bc_ops import (_response_kernels, connecting_matrix,
                      connecting_via_waves, response_kernel)
-from .core import Tolerances, check_count
+from .core import check_count, check_det_tol
 from .forward import solve_interval, solve_semi_infinite
-from .inversion import (DegenerateTrace, KreinConfig, SingularConnecting,
-                        SingularLeadingMinor, _block_outcomes,
-                        characterize_response, invert_factorization,
-                        invert_gelfand_levitan, invert_krein)
+from .inversion import (DET_TOL, DegenerateTrace, KreinConfig,
+                        SingularConnecting, SingularLeadingMinor,
+                        _block_outcomes, characterize_response,
+                        invert_factorization, invert_gelfand_levitan,
+                        invert_krein)
 from .linalg import ConvergenceFailure
 from .spectral import build_hamiltonian, eigen_decompose, invert_spectral
 
@@ -69,12 +69,10 @@ def cmd_forward(args):
     potential = _load(args.potential, "potential")
     f = control.values
     T = f.size
-    # a field that overflows is refused when written, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.interval_n is not None:
-            fld = solve_interval(potential.values, args.interval_n, f, T)
-        else:
-            fld = solve_semi_infinite(potential.values, f, T)
+    if args.interval_n is not None:
+        fld = solve_interval(potential.values, args.interval_n, f, T)
+    else:
+        fld = solve_semi_infinite(potential.values, f, T)
     csv = files.field_csv(fld.values)
     files.write_text(csv, args.output)
     trace = fld.boundary_trace()
@@ -86,9 +84,7 @@ def cmd_forward(args):
 
 def cmd_response(args):
     potential = _load(args.potential, "potential")
-    # a kernel that overflows is refused when written, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = response_kernel(potential.values, args.order)
+    r = response_kernel(potential.values, args.order)
     doc = files.problem_document("kernel", r, {"order": args.order})
     _emit_json(doc, args)
     return EXIT_OK
@@ -110,14 +106,11 @@ def cmd_connect(args):
         pf = _load(args.potential, "potential")
         if T is None:
             raise ValueError("--horizon is required with --potential")
-        # a route that overflows is refused by connecting_matrix or
-        # when written, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.via_waves or args.verify:
-                waves = connecting_via_waves(pf.values, T)
-            if not args.via_waves or args.verify:
-                r = response_kernel(pf.values, 2 * T - 2)
-                kernel_route = connecting_matrix(r, T)
+        if args.via_waves or args.verify:
+            waves = connecting_via_waves(pf.values, T)
+        if not args.via_waves or args.verify:
+            r = response_kernel(pf.values, 2 * T - 2)
+            kernel_route = connecting_matrix(r, T)
         C = waves if args.via_waves else kernel_route
         if args.verify:
             dev = float(np.max(np.abs(kernel_route - waves)))
@@ -137,8 +130,7 @@ def cmd_invert(args):
         raise ValueError("--alpha and --beta apply only to --method krein")
     pf = _load(args.kernel, "kernel")
     T = _default_horizon(args, pf.values.size)
-    verdict = characterize_response(pf.values, T,
-                                    Tolerances(det_tol=args.tol_det))
+    verdict = characterize_response(pf.values, T, args.tol_det)
     if not verdict.admissible:
         print(f"error: kernel inadmissible at order "
               f"{verdict.first_failing_order}", file=sys.stderr)
@@ -158,8 +150,7 @@ def cmd_invert(args):
 def cmd_characterize(args):
     pf = _load(args.kernel, "kernel")
     T = _default_horizon(args, pf.values.size)
-    verdict = characterize_response(pf.values, T,
-                                    Tolerances(det_tol=args.tol_det))
+    verdict = characterize_response(pf.values, T, args.tol_det)
     doc = {
         "kind": "characterization",
         "admissible": verdict.admissible,
@@ -176,7 +167,7 @@ def cmd_spectral(args):
     pf = _load(args.potential, "potential")
     N = args.size if args.size is not None else pf.values.size
     H = build_hamiltonian(pf.values, N)
-    sd = eigen_decompose(H, Tolerances(eig_tol=args.tol_eig))
+    sd = eigen_decompose(H)
     _emit_json(files.spectral_problem(sd), args)
     return EXIT_OK
 
@@ -189,14 +180,6 @@ def cmd_spectral_invert(args):
         "potential", b, {"method": "spectral", "size": sd.size})
     _emit_json(doc, args)
     return EXIT_OK
-
-
-def _check_roundtrip(instances, T, amplitude):
-    check_count(instances, 0, "instances must be nonnegative")
-    check_count(T, 1, "--horizon is required and must be positive")
-    # the draws span 2 * amplitude, which must be finite
-    if not 0.0 <= amplitude <= np.finfo(float).max / 2:
-        raise ValueError("amplitude must be finite and nonnegative")
 
 
 def _tally(entry, start, b_hat, draws, errors):
@@ -224,7 +207,7 @@ def _tally(entry, start, b_hat, draws, errors):
     entry["max_abs_error"] = float(larger.max()) if larger.size else current
 
 
-def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
+def roundtrip_report(seed, instances, T, amplitude, det_tol=DET_TOL):
     """Round-trip report over instances draws b ~ uniform(-a, a)^(T-1).
 
     Each draw's kernel (r_0, ..., r_{2T-2}) is characterized and handed
@@ -233,11 +216,15 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
     The draws are taken in blocks of _BLOCK instances, each served by
     one stacked kernel fill and one stacked moment recursion, whose
     outcomes are tallied as arrays; the report is the same bytes as one
-    draw, kernel and solver call per instance.
+    draw, kernel and solver call per instance.  The counts and the
+    amplitude are checked before det_tol.
     """
-    _check_roundtrip(instances, T, amplitude)
-    if not isinstance(tol, Tolerances):
-        raise ValueError("tol must be a Tolerances instance")
+    check_count(instances, 0, "instances must be nonnegative")
+    check_count(T, 1, "--horizon is required and must be positive")
+    # the draws span 2 * amplitude, which must be finite
+    if not 0.0 <= amplitude <= np.finfo(float).max / 2:
+        raise ValueError("amplitude must be finite and nonnegative")
+    det_tol = check_det_tol(det_tol)
     rng = np.random.default_rng(seed)
     methods = {name: {"successes": 0, "max_abs_error": None, "failures": []}
                for name in ("krein", "factorization", "gelfand_levitan")}
@@ -253,7 +240,7 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
         if not np.all(np.isfinite(r)):
             # what characterize_response raises for such a kernel
             raise ValueError("kernel contains non-finite entries")
-        failing, outcomes = _block_outcomes(r, T, tol)
+        failing, outcomes = _block_outcomes(r, T, det_tol)
         admissible_count += int(np.count_nonzero(failing == 0))
         inadmissible.extend((start + np.flatnonzero(failing)).tolist())
         for name, (b_hat, errors) in outcomes.items():
@@ -274,12 +261,8 @@ def roundtrip_report(seed, instances, T, amplitude, tol=Tolerances()):
 
 
 def cmd_roundtrip(args):
-    # checked before the tolerances are built, so a bad count is the
-    # error reported when both are wrong
-    _check_roundtrip(args.instances, args.horizon, args.amplitude)
     report = roundtrip_report(args.seed, args.instances, args.horizon,
-                              args.amplitude,
-                              Tolerances(det_tol=args.tol_det))
+                              args.amplitude, args.tol_det)
     _emit_json(report, args)
     return EXIT_OK
 
@@ -290,8 +273,7 @@ def build_parser():
     output.add_argument("--output", default=None, metavar="PATH",
                         help="output path (default: stdout)")
     admissibility = argparse.ArgumentParser(add_help=False)
-    admissibility.add_argument("--tol-det", type=float,
-                               default=Tolerances.det_tol,
+    admissibility.add_argument("--tol-det", type=float, default=DET_TOL,
                                help="unit-minor admissibility slack, below 1")
 
     parser = argparse.ArgumentParser(
@@ -351,9 +333,6 @@ def build_parser():
     p.add_argument("--potential", required=True, metavar="FILE")
     p.add_argument("--size", type=int, default=None, metavar="N",
                    help="interval size (default: potential length)")
-    p.add_argument("--tol-eig", type=float, default=Tolerances.eig_tol,
-                   help="largest eigenpair residual bound accepted, "
-                        "relative to |H|")
     p.set_defaults(func=cmd_spectral, parser=p)
 
     p = add_parser("spectral-invert", parents=[output],
@@ -381,7 +360,10 @@ def main(argv=None):
         # where parse_args would print the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        # a value that overflows is refused as an error, by the check
+        # that reads it or when it is written, never as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

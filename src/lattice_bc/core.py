@@ -1,4 +1,4 @@
-"""Shared numerical conventions: tolerances, causal sequences, input checks.
+"""Shared numerical conventions: causal sequences and input checks.
 
 All sequences are 1-D float arrays indexed from zero.  A potential
 ``b = (b_1, ..., b_M)`` is stored with ``b[n-1] = b_n``; boundary controls
@@ -8,37 +8,7 @@ are stored at their natural offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared across characterization and spectral code.
-
-    det_tol : admissibility slack for the unit leading minors of the
-              reversed connecting matrix, below 1 so that passing the
-              test also means positive definite.
-    eig_tol : largest eigenpair residual bound accepted, relative to
-              |H| (|gamma_r| / |z| of the twisted factorization, or
-              the residual itself after a Gram-Schmidt pass).
-
-    The field defaults are also the defaults of the command-line flags
-    --tol-det and --tol-eig.
-    """
-
-    det_tol: float = 1e-9
-    eig_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("det_tol", "eig_tol"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if self.det_tol >= 1.0:
-            raise ValueError("det_tol must be below 1, so that unit minors "
-                             "mean a positive definite matrix")
 
 
 def as_float_array(values, name="values"):
@@ -75,6 +45,19 @@ def check_count(value, least, message):
 def check_horizon(T, name="horizon"):
     """Validate a positive integer count (horizon, size, order, index)."""
     return check_count(T, 1, f"{name} must be a positive integer")
+
+
+def check_det_tol(det_tol):
+    """Return det_tol, the admissibility slack for the unit leading
+    minors of the reversed connecting matrix, as a float if it is
+    finite, nonnegative and below 1, so that passing the test also
+    means positive definite; raise ValueError otherwise."""
+    if not np.isfinite(det_tol) or det_tol < 0.0:
+        raise ValueError("det_tol must be finite and nonnegative")
+    if det_tol >= 1.0:
+        raise ValueError("det_tol must be below 1, so that unit minors "
+                         "mean a positive definite matrix")
+    return float(det_tol)
 
 
 def convolve(a, b):

@@ -152,15 +152,13 @@ def problem_document(kind, values, meta=None):
     return {"kind": kind, "values": values, "meta": dict(meta or {})}
 
 
-def spectral_problem(sd, meta=None):
+def spectral_problem(sd):
     """Problem document for SpectralData: values are [lambda, rho] pairs."""
     if not isinstance(sd, SpectralData):
         raise ValueError("sd must be SpectralData")
     pairs = [[float(l), float(r)]
              for l, r in zip(sd.eigenvalues, sd.norming)]
-    base = {"size": sd.size}
-    base.update(meta or {})
-    return problem_document("spectral", pairs, base)
+    return problem_document("spectral", pairs, {"size": sd.size})
 
 
 def spectral_from_problem(pf):

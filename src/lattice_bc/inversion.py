@@ -26,7 +26,7 @@ Python step per order for the whole stack, and reads it out as one
 record of float64 and int arrays, one column per kernel: the minors,
 pivots and reached order, and b-hat and the failure's argument of the
 factorization and of Krein.  The long double internals never leave it.
-Only _first_failing reads a tolerance.  Each public function is the
+Only _first_failing reads det_tol.  Each public function is the
 M = 1 case: it reads column 0 and builds the verdict, returns a copy of
 b-hat or raises the route's failure, in the order _FAILURES gives.  The
 round-trip report reads _block_outcomes once per block of instances,
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bc_ops import apply_response_adjoint
-from .core import Tolerances, check_horizon, check_kernel, kappa_seq
+from .core import check_det_tol, check_horizon, check_kernel, kappa_seq
 
 # relative floor below which a Krein trace value counts as vanished
 _DEGENERACY_TOL = 1e-8
@@ -67,6 +67,9 @@ _DEGENERACY_TOL = 1e-8
 # came back wrong.
 _PIVOT_MARGIN = 1000.0
 _EPS = np.finfo(float).eps
+# default admissibility slack det_tol of the unit-minor test, also the
+# default of the command-line flag --tol-det
+DET_TOL = 1e-9
 
 
 class InversionError(Exception):
@@ -287,12 +290,12 @@ def _krein_rhs(r, T, config):
     return np.broadcast_to(g, (r.shape[0], T))
 
 
-def _first_failing(answers, tol):
+def _first_failing(answers, det_tol):
     """The first order (M,) whose minor is off one by more than
-    tol.det_tol, 0 when admissible; a zero pivot or a value beyond
+    det_tol, 0 when admissible; a zero pivot or a value beyond
     float64 fails by its order, so it is never past the reached one."""
     with np.errstate(invalid="ignore"):
-        passed = np.abs(answers.minors - 1.0) <= tol.det_tol
+        passed = np.abs(answers.minors - 1.0) <= det_tol
     return _order(_first(~passed), passed.shape[0])
 
 
@@ -326,7 +329,7 @@ def _solve(answers, route):
     return getattr(answers, route)[:, 0].copy()
 
 
-def _block_outcomes(r, T, tol):
+def _block_outcomes(r, T, det_tol):
     """The round trip's outcomes for the stack r of M kernels.
 
     Returns the first failing order (M,) of each verdict, 0 when
@@ -344,7 +347,7 @@ def _block_outcomes(r, T, tol):
         outcomes[route] = getattr(answers, route), names
     # invert_gelfand_levitan(r, T) returns invert_factorization(r, T)
     outcomes["gelfand_levitan"] = outcomes["factorization"]
-    return _first_failing(answers, tol), outcomes
+    return _first_failing(answers, det_tol), outcomes
 
 
 def invert_krein(r, T, config=KreinConfig()):
@@ -405,7 +408,7 @@ def invert_gelfand_levitan(r, T):
     return invert_factorization(r, T)
 
 
-def characterize_response(r, T, tol=Tolerances()):
+def characterize_response(r, T, det_tol=DET_TOL):
     """Decide whether (r_0, ..., r_{2T-2}) is admissible response data.
 
     Admissible means the prefix is the response kernel of some real
@@ -416,13 +419,12 @@ def characterize_response(r, T, tol=Tolerances()):
     and must satisfy |m_l - 1| <= det_tol for l = 1..T; as det_tol < 1,
     that keeps every pivot at least (1 - det_tol) / (1 + det_tol) > 0,
     so the test also means positive definite.  Inadmissibility is a
-    verdict, not an error.
+    verdict, not an error; det_tol is checked before r and T.
     """
+    det_tol = check_det_tol(det_tol)
     r, T = _checked_kernel(r, T)
-    if not isinstance(tol, Tolerances):
-        raise ValueError("tol must be a Tolerances instance")
     answers = _kernel_answers(r, T)
-    failing = int(_first_failing(answers, tol)[0])
+    failing = int(_first_failing(answers, det_tol)[0])
     reached = answers.reached[0]
     return CharacterizationVerdict(
         admissible=not failing,

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from lattice_bc.bc_ops import response_kernel
-from lattice_bc.core import Tolerances
-from lattice_bc.inversion import (InversionError, characterize_response,
+from lattice_bc.inversion import (DET_TOL, InversionError,
+                                  characterize_response,
                                   invert_factorization, invert_krein)
 
 
@@ -297,7 +297,7 @@ def _reference_roundtrip_method(invert, b):
 
 
 def reference_roundtrip_report(seed, instances, T, amplitude,
-                               tol=Tolerances()):
+                               det_tol=DET_TOL):
     """The round-trip report one instance at a time: one draw, one
     kernel and one call of each public solver per instance, the loop
     that the blocked cli.roundtrip_report must reproduce byte for byte."""
@@ -309,7 +309,7 @@ def reference_roundtrip_report(seed, instances, T, amplitude,
     for i in range(instances):
         b = rng.uniform(-amplitude, amplitude, T - 1)
         r = response_kernel(b, 2 * T - 2)
-        verdict = characterize_response(r, T, tol)
+        verdict = characterize_response(r, T, det_tol)
         if verdict.admissible:
             admissible_count += 1
         else:

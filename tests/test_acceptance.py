@@ -21,7 +21,7 @@ from lattice_bc import files
 from lattice_bc.bc_ops import (connecting_matrix, connecting_via_waves,
                                control_matrix, response_kernel)
 from lattice_bc.cli import main
-from lattice_bc.core import Tolerances, chebyshev_seq
+from lattice_bc.core import chebyshev_seq
 from lattice_bc.forward import (apply_representation, solve_goursat,
                                 solve_interval, solve_semi_infinite)
 from lattice_bc.inversion import (DegenerateTrace, characterize_response,
@@ -205,13 +205,12 @@ def test_criterion_5_spectral_consistency(capsys):
 
 def test_criterion_6_structural_invariants(capsys):
     rng = np.random.default_rng(106)
-    tol = Tolerances()
     w_mass = w_res = 0.0
     for N in (4, 8, 16, 32, 64):
         for _ in range(3):
             b = rng.uniform(-2.0, 2.0, N)
             H = build_hamiltonian(b, N)
-            sd = eigen_decompose(H, tol)
+            sd = eigen_decompose(H)
             w_mass = max(w_mass, abs(float(np.sum(1.0 / sd.norming)) - 1.0))
             A = H.to_dense()
             h_norm = np.linalg.norm(A, 2)

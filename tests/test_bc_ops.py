@@ -10,8 +10,8 @@ from lattice_bc.bc_ops import (_response_kernels, apply_response,
                                apply_response_adjoint, connecting_matrix,
                                connecting_via_waves, control_matrix,
                                response_kernel, rotated_connecting)
-from lattice_bc.core import Tolerances
 from lattice_bc.forward import solve_goursat, solve_semi_infinite
+from lattice_bc.inversion import DET_TOL
 
 int_seq = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=12)
 
@@ -269,6 +269,16 @@ class TestConnecting:
             C_wave = connecting_via_waves(b, T)
             assert np.max(np.abs(C_kernel - C_wave)) <= 1e-9
 
+    def test_short_potential_is_zero_padded(self):
+        # finite speed makes the padding exact, as on the kernel route
+        rng = np.random.default_rng(38)
+        for T in range(1, 13):
+            for length in range(T - 1):
+                b = rng.uniform(-0.5, 0.5, length)
+                padded = np.concatenate((b, np.zeros(T - 1 - length)))
+                assert (connecting_via_waves(b, T).tobytes()
+                        == connecting_via_waves(padded, T).tobytes())
+
     def test_wave_route_positive_definite(self):
         rng = np.random.default_rng(35)
         C = connecting_via_waves(rng.uniform(-1, 1, 7), 8)
@@ -296,13 +306,12 @@ class TestConnecting:
         T = 10
         b = rng.uniform(-0.5, 0.5, T - 1)
         r = response_kernel(b, 2 * T - 2)
-        tol = Tolerances()
         for ell in range(1, T + 1):
             d = np.linalg.det(connecting_matrix(r, ell))
-            assert abs(d - 1.0) <= tol.det_tol
+            assert abs(d - 1.0) <= DET_TOL
         cbar = rotated_connecting(connecting_matrix(r, T))
         minors = helpers.leading_minors(cbar)
-        assert np.max(np.abs(minors - 1.0)) <= tol.det_tol
+        assert np.max(np.abs(minors - 1.0)) <= DET_TOL
 
 
 class TestRotated:

@@ -18,9 +18,11 @@ import helpers
 from lattice_bc import cli, files
 from lattice_bc.bc_ops import connecting_matrix, response_kernel
 from lattice_bc.cli import main, roundtrip_report
-from lattice_bc.core import Tolerances
+from lattice_bc.inversion import DET_TOL
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+KERNEL = str(GOLDEN / "kernel_t16.json")
 
 
 def write_doc(path, kind, values, meta=None):
@@ -133,6 +135,29 @@ class TestConnect:
         assert "route deviation:" in err
         dev = float(err.split(":")[1])
         assert dev <= 1e-10
+
+    @pytest.mark.parametrize("route", ["--verify", "--via-waves"])
+    def test_short_potential_is_zero_padded(self, tmp_path, route):
+        # both routes pad b = (0.3) with zeros, so they take it as the
+        # kernel route alone does
+        pot = write_doc(tmp_path / "p.json", "potential", [0.3])
+        kernel = run_in_subprocess("connect", "--potential", pot,
+                                   "--horizon", "4")
+        proc = run_in_subprocess("connect", "--potential", pot,
+                                 "--horizon", "4", route)
+        assert (kernel.returncode, kernel.stderr) == (0, "")
+        assert proc.returncode == 0
+        if route == "--verify":
+            assert proc.stdout == kernel.stdout
+            label, dev = proc.stderr.split(":")
+            assert label == "route deviation" and float(dev) <= 1e-14
+        else:
+            assert proc.stderr == ""
+            assert np.allclose(np.loadtxt(io.StringIO(proc.stdout),
+                                          delimiter=",", skiprows=1),
+                               np.loadtxt(io.StringIO(kernel.stdout),
+                                          delimiter=",", skiprows=1),
+                               rtol=0.0, atol=1e-14)
 
     def test_requires_exactly_one_input(self, pot_file, tmp_path, capsys):
         ker = write_doc(tmp_path / "k.json", "kernel", [1.0, 0.0, 0.0])
@@ -276,6 +301,22 @@ class TestCharacterize:
         assert out == ""
         assert err == ("error: det_tol must be below 1, so that unit minors "
                        "mean a positive definite matrix\n")
+
+    @pytest.mark.parametrize("args, error", [
+        (["invert", "--kernel", KERNEL, "--horizon", "0"],
+         "det_tol must be below 1, so that unit minors mean a positive "
+         "definite matrix"),
+        (["characterize", "--kernel", KERNEL, "--horizon", "0"],
+         "det_tol must be below 1, so that unit minors mean a positive "
+         "definite matrix"),
+        (["roundtrip", "--instances", "-1", "--horizon", "4"],
+         "instances must be nonnegative"),
+    ], ids=["invert", "characterize", "roundtrip"])
+    def test_first_checked_error_is_reported(self, args, error, capsys):
+        # with --tol-det 2 bad too: the verdict checks det_tol before
+        # the horizon, and the report checks the counts before det_tol
+        assert main([*args, "--tol-det", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestSpectral:
@@ -491,8 +532,15 @@ class TestRoundtrip:
         for args, message in bad:
             with pytest.raises(ValueError, match=message):
                 roundtrip_report(*args)
-        with pytest.raises(ValueError, match="tol must be a Tolerances"):
-            roundtrip_report(0, 0, 4, 0.3, tol=1e-9)
+        for det_tol, message in ((1.0, "det_tol must be below 1"),
+                                 (-1e-9, "det_tol must be finite"),
+                                 (float("nan"), "det_tol must be finite")):
+            with pytest.raises(ValueError, match=message):
+                roundtrip_report(0, 0, 4, 0.3, det_tol=det_tol)
+        # the counts and the amplitude are checked before det_tol
+        for args, message in bad:
+            with pytest.raises(ValueError, match=message):
+                roundtrip_report(*args, det_tol=2.0)
         assert roundtrip_report(0, np.int64(2), np.int64(3), 0.3)[
             "characterization"]["admissible_count"] == 2
 
@@ -500,7 +548,7 @@ class TestRoundtrip:
         assert main(["roundtrip", "--instances", "12", "--horizon", "10",
                      "--amplitude", "0.8", "--seed", "3",
                      "--tol-det", "1e-6"]) == 0
-        report = roundtrip_report(3, 12, 10, 0.8, Tolerances(det_tol=1e-6))
+        report = roundtrip_report(3, 12, 10, 0.8, det_tol=1e-6)
         assert capsys.readouterr().out == files.dumps_json(report) + "\n"
 
 
@@ -565,10 +613,6 @@ class TestNonFiniteResults:
             4, "", "error: non-finite eigendata at eigenvalue index 0\n")
 
 
-GOLDEN = ROOT / "tests" / "golden"
-KERNEL = str(GOLDEN / "kernel_t16.json")
-
-
 class TestGoldenBytes:
     """The CLI's output is the checked-in output of these commands, byte
     for byte: a check against bits that move in the library and in a
@@ -617,7 +661,7 @@ OPTIONS = {
     "invert": {"--output", "--tol-det", "--kernel", "--horizon",
                "--method", "--alpha", "--beta"},
     "characterize": {"--output", "--tol-det", "--kernel", "--horizon"},
-    "spectral": {"--output", "--potential", "--size", "--tol-eig"},
+    "spectral": {"--output", "--potential", "--size"},
     "spectral-invert": {"--output", "--spectral"},
     "roundtrip": {"--output", "--tol-det", "--instances", "--horizon",
                   "--amplitude", "--seed"},
@@ -648,7 +692,7 @@ class TestOptionSurface:
         assert {name: {a.option_strings[-1] for a in p._actions
                        if not isinstance(a, argparse._HelpAction)}
                 for name, p in subparsers().items()} == OPTIONS
-        assert sum(map(len, OPTIONS.values())) == 36
+        assert sum(map(len, OPTIONS.values())) == 35
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_unread_flags_exit_2(self, command, capsys):
@@ -692,15 +736,13 @@ class TestOptionSurface:
         assert lines[-1] == ("lattice-bc invert: error: unrecognized "
                              "arguments: --tol 1e-3")
 
-    def test_tolerance_defaults_are_the_tolerances_fields(self):
-        fields = {"--tol-det": "det_tol", "--tol-eig": "eig_tol"}
+    def test_tolerance_default_is_det_tol(self):
         checked = 0
         for name, p in subparsers().items():
-            for flag in sorted(fields.keys() & OPTIONS[name]):
-                default = p.get_default(flag[2:].replace("-", "_"))
-                assert default == getattr(Tolerances(), fields[flag]), name
+            if "--tol-det" in OPTIONS[name]:
+                assert p.get_default("tol_det") is DET_TOL, name
                 checked += 1
-        assert checked == 4
+        assert checked == 3
 
     def test_readme_synopsis_names_each_subcommand_flags(self):
         text = (ROOT / "README.md").read_text()

@@ -1,6 +1,6 @@
 """Sequence utilities: convolution, Chebyshev values, harmonic weight."""
 
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 
 import helpers
 from lattice_bc.bc_ops import response_kernel
-from lattice_bc.core import (Tolerances, as_float_array, chebyshev_seq,
+from lattice_bc import cli, spectral
+from lattice_bc.core import (as_float_array, chebyshev_seq, check_det_tol,
                              check_horizon, check_kernel, convolve, kappa_seq)
 from lattice_bc.forward import apply_representation, solve_goursat
+from lattice_bc.inversion import DET_TOL, characterize_response
 from lattice_bc.spectral import (build_hamiltonian, eigen_decompose,
                                  kernel_from_spectral)
 
@@ -138,9 +140,10 @@ class TestKappa:
 class TestValidation:
     def test_tolerances_reject_negative(self):
         with pytest.raises(ValueError):
-            Tolerances(det_tol=-1e-9)
+            check_det_tol(-1e-9)
         with pytest.raises(ValueError):
-            Tolerances(eig_tol=float("nan"))
+            check_det_tol(float("nan"))
+        assert check_det_tol(0) == 0.0
 
     def test_det_tol_below_one(self):
         # at det_tol >= 1 minors within det_tol of one may be zero or
@@ -148,20 +151,24 @@ class TestValidation:
         # definite
         for det_tol in (1.0, 2.0):
             with pytest.raises(ValueError, match="det_tol must be below 1"):
-                Tolerances(det_tol=det_tol)
-        assert Tolerances(det_tol=np.nextafter(1.0, 0.0)).det_tol < 1.0
+                check_det_tol(det_tol)
+        below = np.nextafter(1.0, 0.0)
+        assert check_det_tol(below) == below < 1.0
         # the finiteness check comes first, with its own message
         for det_tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError,
                                match="det_tol must be finite and nonnegative"):
-                Tolerances(det_tol=det_tol)
+                check_det_tol(det_tol)
 
     def test_tolerances_defaults(self):
-        tol = Tolerances()
-        assert [f.name for f in dataclasses.fields(tol)] == [
-            "det_tol", "eig_tol"]
-        assert tol.det_tol == 1e-9
-        assert tol.eig_tol == 1e-10
+        # one constant per tolerance: det_tol's default, read by both
+        # functions that take it, and the fixed eigenpair residual bound
+        assert DET_TOL == 1e-9
+        for function in (characterize_response, cli.roundtrip_report):
+            default = inspect.signature(function).parameters["det_tol"]
+            assert default.default is DET_TOL
+        assert spectral.EIG_TOL == 1e-10
+        assert list(inspect.signature(eigen_decompose).parameters) == ["H"]
 
     def test_kernel_must_start_at_one(self):
         with pytest.raises(ValueError):

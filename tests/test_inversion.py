@@ -12,12 +12,12 @@ import helpers
 from lattice_bc import inversion
 from lattice_bc.bc_ops import connecting_matrix, response_kernel, \
     rotated_connecting
-from lattice_bc.core import Tolerances
-from lattice_bc.inversion import (CharacterizationVerdict, DegenerateTrace,
-                                  InversionError, KreinConfig,
-                                  SingularConnecting, SingularLeadingMinor,
-                                  _answers, _block_outcomes,
-                                  _first_failing, characterize_response,
+from lattice_bc.inversion import (DET_TOL, CharacterizationVerdict,
+                                  DegenerateTrace, InversionError,
+                                  KreinConfig, SingularConnecting,
+                                  SingularLeadingMinor, _answers,
+                                  _block_outcomes, _first_failing,
+                                  characterize_response,
                                   invert_factorization,
                                   invert_gelfand_levitan, invert_krein)
 
@@ -276,11 +276,10 @@ class TestStack:
     def test_stack_outcomes_are_single_calls(self, T, kinds, amplitude,
                                              seed, config):
         r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
-        tol = Tolerances()
         answers = _answers(r, T, config)
-        failing = _first_failing(answers, tol)
+        failing = _first_failing(answers, DET_TOL)
         for m in range(len(kinds)):
-            one = characterize_response(r[m], T, tol)
+            one = characterize_response(r[m], T)
             assert (not failing[m], failing[m] or None) == (
                 one.admissible, one.first_failing_order)
             reached = answers.reached[m]
@@ -305,15 +304,14 @@ class TestStack:
     def test_block_outcomes_are_single_calls(self, T, kinds, amplitude,
                                              seed, det_tol):
         r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
-        tol = Tolerances(det_tol=det_tol)
-        failing, outcomes = _block_outcomes(r, T, tol)
+        failing, outcomes = _block_outcomes(r, T, det_tol)
         solvers = {"krein": invert_krein,
                    "factorization": invert_factorization,
                    "gelfand_levitan": invert_gelfand_levitan}
         assert list(outcomes) == list(solvers)
         for m in range(len(kinds)):
             assert failing[m] == (
-                characterize_response(r[m], T, tol).first_failing_order
+                characterize_response(r[m], T, det_tol).first_failing_order
                 or 0)
             for name, solver in solvers.items():
                 b_hat, errors = outcomes[name]
@@ -330,7 +328,7 @@ class TestStack:
                                           det_tol):
         r = kernel_stack(kinds, T, amplitude, np.random.default_rng(seed))
         answers = _answers(r, T, KreinConfig())
-        failing = _first_failing(answers, Tolerances(det_tol=det_tol))
+        failing = _first_failing(answers, det_tol)
         # minors within det_tol of one up to order l keep the pivot
         # d_{l-1} = m_l / m_{l-1} at least this, up to rounding
         bound = (1.0 - det_tol) / (1.0 + det_tol) * (1.0 - 1e-12)
@@ -640,7 +638,7 @@ class TestCharacterize:
         bad[2] += 1e-6
         strict = characterize_response(bad, T)
         assert not strict.admissible
-        loose = characterize_response(bad, T, Tolerances(det_tol=1e-3))
+        loose = characterize_response(bad, T, det_tol=1e-3)
         assert loose.admissible
 
     def test_rejects_unnormalized_kernel(self):

@@ -40,11 +40,14 @@ def row_sum_norm(d):
 
 def check_rows(d, lam, vectors, residual, passing):
     """The rows in passing are orthonormal eigenvectors whose residual
-    is within 1e-10 |T| and within the bound the solver reported."""
+    is within 1e-10 |T| and within the bound the solver reported, and
+    that bound is at working precision, 64 eps |T|: far below the
+    fixed 1e-10 |T| that eigen_decompose accepts."""
     A = dense(d)
     norm = row_sum_norm(d)
     V = vectors[passing]
     for v, value, bound in zip(V, lam[passing], residual[passing]):
+        assert bound <= 64 * EPS * norm
         r = A @ v - value * v
         assert np.sqrt(r @ r) <= min(bound + 16 * EPS * norm, 1e-10 * norm)
     assert np.max(np.abs(V @ V.T - np.eye(len(V))), initial=0.0) <= 1e-8

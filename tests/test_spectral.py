@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lattice_bc.bc_ops import connecting_matrix, response_kernel
-from lattice_bc.core import Tolerances, chebyshev_seq
+from lattice_bc import spectral
+from lattice_bc.core import chebyshev_seq
 from lattice_bc.forward import solve_interval, solve_semi_infinite
 from lattice_bc.linalg import ConvergenceFailure, tridiag_eigensystem
 from lattice_bc.spectral import (Hamiltonian, SpectralData, SpectralMeasure,
@@ -160,7 +161,7 @@ class TestEigenDecompose:
             assert np.sqrt(res @ res) <= 1e-13 * H.norm_bound()
         assert np.max(np.abs(invert_spectral(sd) - b)) <= 1e-4
 
-    def test_failure_names_lowest_index(self):
+    def test_failure_names_lowest_index(self, monkeypatch):
         # a well of 1e4 at the far end: the top eigenvector's first
         # component underflows, so rho is not finite there, and only
         # there
@@ -177,18 +178,20 @@ class TestEigenDecompose:
                            match="eigenvalues collide at working precision "
                                  "at eigenvalue index 1$"):
             eigen_decompose(build_hamiltonian(b, 40))
-        # a residual target between the residual bounds: the lowest
-        # index above it is named
+        # a residual bound between the reported ones: the lowest index
+        # above it is named
         rng = np.random.default_rng(81)
         H = build_hamiltonian(rng.uniform(-1, 1, 30), 30)
+        eigen_decompose(H)
         norm_h = H.norm_bound()
         _, _, residual = tridiag_eigensystem(H.diag)
         eig_tol = float(np.median(residual)) / norm_h
         first = int(np.flatnonzero(residual > eig_tol * norm_h)[0])
+        monkeypatch.setattr(spectral, "EIG_TOL", eig_tol)
         with pytest.raises(ConvergenceFailure,
                            match=f"eigenpair residual above eig_tol at "
                                  f"eigenvalue index {first}$"):
-            eigen_decompose(H, Tolerances(eig_tol=eig_tol))
+            eigen_decompose(H)
 
     @pytest.mark.parametrize("b", [[1.7976931348623157e308, 0.0],
                                    [1e308, -1e308, 0.0],
