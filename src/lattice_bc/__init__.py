@@ -21,10 +21,9 @@ from .inversion import (CharacterizationVerdict, DegenerateTrace,
                         invert_factorization, invert_gelfand_levitan,
                         invert_krein)
 from .spectral import (ConvergenceFailure, Hamiltonian, SpectralData,
-                       SpectralMeasure, build_hamiltonian, eigen_decompose,
+                       build_hamiltonian, eigen_decompose,
                        connecting_from_spectral, invert_spectral,
-                       kernel_from_spectral, phi_polynomial,
-                       spectral_measure)
+                       kernel_from_spectral, phi_polynomial)
 
 __all__ = [
     "chebyshev_seq", "convolve", "kappa_seq",
@@ -38,10 +37,9 @@ __all__ = [
     "KreinConfig", "SingularConnecting", "SingularLeadingMinor",
     "characterize_response", "invert_factorization",
     "invert_gelfand_levitan", "invert_krein",
-    "ConvergenceFailure", "Hamiltonian", "SpectralData", "SpectralMeasure",
+    "ConvergenceFailure", "Hamiltonian", "SpectralData",
     "build_hamiltonian", "eigen_decompose", "connecting_from_spectral",
     "invert_spectral", "kernel_from_spectral", "phi_polynomial",
-    "spectral_measure",
 ]
 
 __version__ = "0.1.0"

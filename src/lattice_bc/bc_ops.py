@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (as_float_array, check_count, check_horizon, check_kernel,
                    convolve)
-from .forward import _goursat_steps, solve_goursat, solve_semi_infinite
+from .forward import _wave_steps, solve_goursat, solve_semi_infinite
 
 
 def _response_kernels(b, K):
@@ -40,7 +40,7 @@ def _response_kernels(b, K):
     M = b.shape[0]
     r = np.zeros((M, K + 1))
     if K >= 1:
-        for s, w in enumerate(_goursat_steps(b, K, (K + 1) // 2)):
+        for s, w in enumerate(_wave_steps(b, K, (K + 1) // 2)):
             r[:, s] = w[1]
     r[:, 0] = 1.0
     return r

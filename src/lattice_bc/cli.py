@@ -182,42 +182,19 @@ def cmd_spectral_invert(args):
     return EXIT_OK
 
 
-def _tally(entry, start, b_hat, draws, errors):
-    """Add one block's outcomes of a method to its report entry.
-
-    b_hat (T - 1, M) holds the recovered potentials of the block's
-    draws (M, T - 1) and errors (M,) the name of each failure, "" for
-    a success.  max_abs_error follows the one-instance-at-a-time rule:
-    the first success sets it and a later error replaces it when
-    larger, so a NaN first error stays.
-    """
-    failed = errors != ""
-    for i in np.flatnonzero(failed):
-        entry["failures"].append(
-            {"instance": start + int(i), "error": str(errors[i])})
-    entry["successes"] += int(np.count_nonzero(~failed))
-    # initial=0.0 gives the error 0 at T = 1, where b has no entries
-    errs = np.max(np.abs(b_hat - draws.T), axis=0, initial=0.0)[~failed]
-    current = entry["max_abs_error"]
-    if current is None:
-        if not errs.size:
-            return
-        current, errs = float(errs[0]), errs[1:]
-    larger = errs[errs > current]
-    entry["max_abs_error"] = float(larger.max()) if larger.size else current
-
-
 def roundtrip_report(seed, instances, T, amplitude, det_tol=DET_TOL):
     """Round-trip report over instances draws b ~ uniform(-a, a)^(T-1).
 
     Each draw's kernel (r_0, ..., r_{2T-2}) is characterized and handed
-    to the three solvers; the report tallies per-method successes,
-    worst recovery error and failures, and the inadmissible instances.
-    The draws are taken in blocks of _BLOCK instances, each served by
-    one stacked kernel fill and one stacked moment recursion, whose
-    outcomes are tallied as arrays; the report is the same bytes as one
-    draw, kernel and solver call per instance.  The counts and the
-    amplitude are checked before det_tol.
+    to the three solvers; the report gives per method the successes,
+    the worst recovery error and the failures, and the inadmissible
+    instances.  The draws are taken in blocks of _BLOCK instances, each
+    served by one stacked kernel fill and one stacked moment recursion;
+    the report is the same bytes as one draw, kernel and solver call
+    per instance.  The worst error is max over the successes in
+    instance order, which keeps the first value and replaces it only by
+    a strictly larger one, so a NaN first error stays.  The counts and
+    the amplitude are checked before det_tol.
     """
     check_count(instances, 0, "instances must be nonnegative")
     check_count(T, 1, "--horizon is required and must be positive")
@@ -226,9 +203,9 @@ def roundtrip_report(seed, instances, T, amplitude, det_tol=DET_TOL):
         raise ValueError("amplitude must be finite and nonnegative")
     det_tol = check_det_tol(det_tol)
     rng = np.random.default_rng(seed)
-    methods = {name: {"successes": 0, "max_abs_error": None, "failures": []}
+    # per method, the errors of the successes and the failures
+    tallies = {name: ([], [])
                for name in ("krein", "factorization", "gelfand_levitan")}
-    admissible_count = 0
     inadmissible = []
     for start in range(0, instances, _BLOCK):
         # one (rows, T - 1) draw is the same stream as rows draws of T - 1
@@ -241,10 +218,16 @@ def roundtrip_report(seed, instances, T, amplitude, det_tol=DET_TOL):
             # what characterize_response raises for such a kernel
             raise ValueError("kernel contains non-finite entries")
         failing, outcomes = _block_outcomes(r, T, det_tol)
-        admissible_count += int(np.count_nonzero(failing == 0))
         inadmissible.extend((start + np.flatnonzero(failing)).tolist())
-        for name, (b_hat, errors) in outcomes.items():
-            _tally(methods[name], start, b_hat, draws, errors)
+        for name, (b_hat, names) in outcomes.items():
+            errors, failures = tallies[name]
+            # initial=0.0 gives the error 0 at T = 1, where b is empty
+            worst = np.max(np.abs(b_hat - draws.T), axis=0, initial=0.0)
+            failed = names != ""
+            errors.extend(worst[~failed].tolist())
+            failures.extend({"instance": start + int(i),
+                             "error": str(names[i])}
+                            for i in np.flatnonzero(failed))
     return {
         "kind": "roundtrip_report",
         "seed": seed,
@@ -252,9 +235,12 @@ def roundtrip_report(seed, instances, T, amplitude, det_tol=DET_TOL):
         "horizon": T,
         "amplitude": amplitude,
         "generator": "numpy default_rng (PCG64)",
-        "methods": methods,
+        "methods": {name: {"successes": len(errors),
+                           "max_abs_error": max(errors, default=None),
+                           "failures": failures}
+                    for name, (errors, failures) in tallies.items()},
         "characterization": {
-            "admissible_count": admissible_count,
+            "admissible_count": instances - len(inadmissible),
             "inadmissible_instances": inadmissible,
         },
     }

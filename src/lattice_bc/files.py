@@ -102,8 +102,8 @@ def _validate_payload(kind, values):
         arr = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("spectral values contain non-finite entries")
-        sd = SpectralData(eigenvalues=arr[:, 0], norming=arr[:, 1])
-        mass = float(np.sum(1.0 / sd.norming))
+        mass = SpectralData(eigenvalues=arr[:, 0],
+                            norming=arr[:, 1]).total_mass
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(
                 f"spectral weights must have unit mass (got {mass!r})")

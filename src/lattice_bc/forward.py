@@ -11,13 +11,15 @@ Signals propagate one site per step, so u_{n,t} = 0 for n > t and a
 horizon-T simulation never sees sites beyond n = T: truncating the
 half-line at n = T is exact, not an approximation.
 
-The Goursat fill of the triangular kernel w rests on the same fact.  It
-steps (rows + 2, M) slabs over a stack of M potentials, with the stack
-axis last: sites 1..rows form a fixed band and site rows + 1 is a zero
-wall.  A wrong value at the wall needs one step per site to travel
-back, so the first row w_{1,s} = r_s is exact for s <= 2 rows, and the
-whole wedge is exact for orders up to rows.  A kernel of order K thus
-needs only ceil(K/2) sites, and a table of order S needs S.
+One stepper, _wave_steps, runs this recurrence for every table here
+and in bc_ops, over a stack of potentials and a band of sites behind a
+zero wall: fed a control, it is the interval problem, whose Dirichlet
+wall that is; without one, the Goursat fill of the triangular kernel w.
+A wrong value at the wall needs one step per site to travel back, so
+with a band of rows sites the fill's first row w_{1,s} = r_s is exact
+for s <= 2 rows, and its whole wedge for orders up to rows.  A kernel
+of order K thus needs only ceil(K/2) sites, and a table of order S
+needs S.
 """
 
 from __future__ import annotations
@@ -90,20 +92,19 @@ class GoursatKernel:
         return float(self.table[n, s])
 
 
-def _padded_potential(b, length):
-    b = as_float_array(b, "potential")
-    if b.size >= length:
-        return b[:length].copy()
-    out = np.zeros(length)
-    out[:b.size] = b
-    return out
+def _control(f, T):
+    """Row 0 of a controlled table: the control f_0..f_{T-1}, then 0."""
+    f = as_float_array(f, "control")
+    if f.size != T:
+        raise ValueError("horizon and control length mismatch")
+    return np.append(f, 0.0)
 
 
 def solve_semi_infinite(b, f, T):
     """Evolve the controlled half-line lattice for T steps.
 
     Returns a WaveField of shape (T+1, T+1); row 0 holds the control
-    padded with a leading zero so that values[0, t] = f_t for t < T.
+    padded with a trailing zero so that values[0, t] = f_t for t < T.
     The potential is zero-padded beyond len(b): by finite speed the
     entries b_n with n > T never influence the table, and a shorter b
     means the tail of the half-line is free.  For the same reason the
@@ -111,46 +112,60 @@ def solve_semi_infinite(b, f, T):
     same bits on rows 0..T, so that is how the table is computed.
     """
     T = check_horizon(T)
-    field = solve_interval(_padded_potential(b, T), T, f, T)
-    return WaveField(field.values[:T + 1])
+    b = as_float_array(b, "potential")
+    return WaveField(_table(b, T, T, _control(f, T))[:T + 1])
 
 
-def _goursat_steps(b, S, rows):
-    """The kernel tables of a stack of potentials, one time step at a time.
+def _wave_steps(b, S, rows, control=None):
+    """The wave recurrence on a stack of potentials, one time step at a time.
 
     b is an (M, L) float array, zero-padded or cut to its first rows
-    sites.  Yields, for s = 0..S, the (rows + 2, M) slab w_s with
-    w_s[n, m] = w_{n,s} for the potential b[m]: the stack axis is last,
+    sites.  Yields, for s = 0..S, the (rows + 2, M) slab u_s with
+    u_s[n, m] = u_{n,s} for the potential b[m]: the stack axis is last,
     sites 1..rows form a fixed band, and row rows + 1 is a zero wall.
-    The wall is exact while no wave reaches it: w_{n,s} has the bits of
-    the untruncated fill for n + s <= 2 rows + 1, so every entry of the
-    wedge when S <= rows, and the first row w_{1,s} for s <= 2 rows.
-    Step s reads only w_{s-1} and w_{s-2}, so three slabs rotate, their
-    shifted views are made once, and memory stays O(M rows); a yielded
-    slab is rewritten three steps on, so the caller copies what it
-    keeps.  Every entry is the same arithmetic as a fill of that
-    potential alone, and for finite b the entries outside the wedge
-    (n > s) stay +0.0.
+    Given control (S + 1,), row 0 of u_s holds control[s] for the whole
+    stack, and the steps run from s = 1 on zero initial data.  Without
+    it the slabs are the Goursat fill w_{n,s}: row 0 stays zero, the
+    steps run from s = 2, and w_{s,s} = -(b_1 + ... + b_s) is set for
+    s <= rows.  Step s reads only u_{s-1} and u_{s-2}, so three slabs
+    rotate, their shifted views are made once, and memory stays
+    O(M rows); a yielded slab is rewritten three steps on, so the
+    caller copies what it keeps.  Every entry is the same arithmetic as
+    a run of that potential alone, and for finite b the fill's entries
+    outside the wedge (n > s) stay +0.0.
     """
     M = b.shape[0]
     band = np.zeros((rows, M))
     band[:min(b.shape[1], rows)] = b[:, :rows].T
-    diag = -np.cumsum(band, axis=0)
+    if control is None:
+        diag = -np.cumsum(band, axis=0)
     tmp = np.empty((rows, M))
     slabs = [np.zeros((rows + 2, M)) for _ in range(3)]
     # (slab, its band n, the band's neighbours n + 1 and n - 1)
     older, last, new = ((x, x[1:rows + 1], x[2:], x[:rows]) for x in slabs)
+    first = 2 if control is None else 1
     for s in range(S + 1):
         slab, here = new[:2]
-        if s >= 2:
+        if s >= first:
             np.add(last[2], last[3], out=here)
             np.multiply(band, last[1], out=tmp)
             here -= tmp
             here -= older[1]
-        if 1 <= s <= rows:
+        if control is not None:
+            slab[0] = control[s]
+        elif 1 <= s <= rows:
             slab[s] = diag[s - 1]
         yield slab
         older, last, new = last, new, older
+
+
+def _table(b, S, rows, control=None):
+    """The (rows + 2, S + 1) table of the one potential b, column s the
+    slab u_s of _wave_steps."""
+    table = np.empty((rows + 2, S + 1))
+    for s, u in enumerate(_wave_steps(b[None], S, rows, control)):
+        table[:, s] = u[:, 0]
+    return table
 
 
 def solve_goursat(b, S):
@@ -171,10 +186,7 @@ def solve_goursat(b, S):
     b = as_float_array(b, "potential")
     if b.size < S:
         raise ValueError("potential too short for requested order")
-    table = np.empty((S + 1, S + 1))
-    for s, w in enumerate(_goursat_steps(b[None], S, S)):
-        table[:, s] = w[:S + 1, 0]
-    return GoursatKernel(table)
+    return GoursatKernel(_table(b, S, S)[:S + 1])
 
 
 def apply_representation(kernel, f, n, t):
@@ -202,24 +214,16 @@ def solve_interval(b, N, f, T):
 
     Same recurrence and boundary control as the half-line problem but
     with u_{N+1,t} = 0 enforced; returns a WaveField of shape
-    (N+2, T+1).  Requires len(b) >= N.
+    (N+2, T+1), read from _wave_steps with a band of N sites.
+    Requires len(b) >= N.
     """
     N = check_horizon(N, "interval size")
     T = check_horizon(T)
-    f = as_float_array(f, "control")
-    if f.size != T:
-        raise ValueError("horizon and control length mismatch")
+    control = _control(f, T)
     b = as_float_array(b, "potential")
     if b.size < N:
         raise ValueError("potential too short for interval size")
-    v = np.zeros((N + 2, T + 1))
-    v[0, :T] = f
-    bn = b[:N]
-    for t in range(T):
-        prev = v[1:N + 1, t - 1] if t >= 1 else 0.0
-        v[1:N + 1, t + 1] = (v[2:N + 2, t] + v[0:N, t]
-                             - bn * v[1:N + 1, t] - prev)
-    return WaveField(v)
+    return WaveField(_table(b, T, N, control))
 
 
 def interval_fourier_solution(sd, f, T):
@@ -234,14 +238,12 @@ def interval_fourier_solution(sd, f, T):
     if sd.eigenvectors is None:
         raise ValueError("spectral data must include eigenvectors")
     T = check_horizon(T)
-    f = as_float_array(f, "control")
-    if f.size != T:
-        raise ValueError("horizon and control length mismatch")
+    control = _control(f, T)
     N = sd.size
     v = np.zeros((N + 2, T + 1))
-    v[0, :T] = f
+    v[0] = control
     cheb = chebyshev_seq(T, sd.eigenvalues)
     for k in range(N):
-        coeff = convolve(cheb[:, k], f)[:T + 1] / sd.norming[k]
+        coeff = convolve(cheb[:, k], control[:T])[:T + 1] / sd.norming[k]
         v[1:N + 1] += np.outer(sd.eigenvectors[k], coeff)
     return WaveField(v)

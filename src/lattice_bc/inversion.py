@@ -245,8 +245,9 @@ def _answers(r, T, config):
                     <= _DEGENERACY_TOL * np.max(np.abs(y), axis=0))
         krein = ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
         factorization = -alpha.astype(float)
-    finite = np.isfinite(minors) & np.isfinite(pivots)
-    reached = np.minimum(np.minimum(_first(d == 0) + 1, T), _first(~finite))
+    # after an exact zero pivot alpha, and so every later pivot, is not
+    # finite: the first non-finite value also ends a run at a zero pivot
+    reached = _first(~(np.isfinite(minors) & np.isfinite(pivots)))
     return _Answers(minors, pivots, reached,
                     factorization, _order(floor, T - 1),
                     krein, _order(floor, T), _order(_first(vanished), T - 1))

@@ -24,10 +24,9 @@ from .core import as_float_array, chebyshev_seq, check_count, check_horizon
 from .linalg import ConvergenceFailure
 
 __all__ = [
-    "Hamiltonian", "SpectralData", "SpectralMeasure", "ConvergenceFailure",
+    "Hamiltonian", "SpectralData", "ConvergenceFailure",
     "build_hamiltonian", "eigen_decompose", "phi_polynomial",
-    "kernel_from_spectral", "connecting_from_spectral", "spectral_measure",
-    "invert_spectral",
+    "kernel_from_spectral", "connecting_from_spectral", "invert_spectral",
 ]
 
 
@@ -65,7 +64,8 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending, simple) with norming constants.
+    """Eigenvalues (ascending, simple) with norming constants: the
+    spectral measure sum_k (1 / rho_k) delta_{lambda_k}.
 
     norming[k] is rho_k = |phi^k|^2 for the eigenvector rescaled to
     phi^k_1 = 1; eigenvectors (rows, in that rescaling) are optional
@@ -98,33 +98,15 @@ class SpectralData:
     def size(self):
         return self.eigenvalues.size
 
-
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Atomic measure with jumps weights[k] at locations[k]."""
-
-    locations: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        loc = as_float_array(self.locations, "locations")
-        wts = as_float_array(self.weights, "weights")
-        if loc.size != wts.size:
-            raise ValueError("locations and weights lengths mismatch")
-        if np.any(np.diff(loc) <= 0.0):
-            raise ValueError("locations must be strictly increasing")
-        if np.any(wts <= 0.0):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "locations", loc)
-        object.__setattr__(self, "weights", wts)
-
-    def evaluate(self, x):
-        """Distribution value: total weight strictly below x."""
-        return float(np.sum(self.weights[self.locations < x]))
-
     @property
     def total_mass(self):
-        return float(np.sum(self.weights))
+        """The sum of the weights 1 / rho_k."""
+        return float(np.sum(1.0 / self.norming))
+
+    def distribution(self, x):
+        """The measure's distribution: the weight strictly below x,
+        sum of 1 / rho_k over lambda_k < x."""
+        return float(np.sum(1.0 / self.norming[self.eigenvalues < x]))
 
 
 def build_hamiltonian(b, N):
@@ -242,14 +224,6 @@ def connecting_from_spectral(sd, T):
     cheb = chebyshev_seq(T, sd.eigenvalues)[T:0:-1]
     # columns scaled by the weights, the entries of cheb @ diag(1 / rho)
     return (cheb * (1.0 / sd.norming)) @ cheb.T
-
-
-def spectral_measure(sd):
-    """Atomic measure with weight 1/rho_k at lambda_k."""
-    if not isinstance(sd, SpectralData):
-        raise ValueError("sd must be SpectralData")
-    return SpectralMeasure(locations=sd.eigenvalues.copy(),
-                           weights=1.0 / sd.norming)
 
 
 # Lanczos on the weights of a unit-coupled Jacobi matrix rebuilds its

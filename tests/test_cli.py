@@ -486,30 +486,50 @@ class TestRoundtrip:
                                                        amplitude)
         assert files.dumps_json(report) == files.dumps_json(reference)
 
-    @given(errs=st.lists(st.one_of(st.floats(0.0, 4.0), st.sampled_from(
-               (0.0, 1.0, float("nan"), float("inf")))), max_size=12),
+    @given(b_hat=st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
+               (0.0, -0.0, 1.0, float("nan"), float("inf"), -float("inf")))),
+               max_size=12),
            data=st.data())
-    def test_tally_is_the_one_at_a_time_rule(self, errs, data):
-        # NaN, inf and ties, which the reports themselves rarely reach
-        M = len(errs)
+    def test_tally_is_the_one_at_a_time_rule(self, b_hat, data):
+        # NaN, inf and ties, which the reports themselves rarely reach:
+        # the solvers' outcomes are drawn, and at amplitude 0 and T = 2
+        # each error is |b-hat| exactly
+        M = len(b_hat)
         failed = data.draw(st.lists(st.booleans(), min_size=M, max_size=M))
-        cuts = sorted(data.draw(st.lists(st.integers(0, M), max_size=3)))
+        failing = data.draw(st.lists(st.integers(0, 2), min_size=M,
+                                     max_size=M))
+        block = data.draw(st.integers(1, M + 1))
         want = {"successes": 0, "max_abs_error": None, "failures": []}
-        for i, (err, fail) in enumerate(zip(errs, failed)):
+        for i, (value, fail) in enumerate(zip(b_hat, failed)):
             if fail:
                 want["failures"].append({"instance": i, "error": "Failed"})
             else:
                 want["successes"] += 1
+                err = abs(value)
                 if (want["max_abs_error"] is None
                         or err > want["max_abs_error"]):
                     want["max_abs_error"] = err
-        entry = {"successes": 0, "max_abs_error": None, "failures": []}
-        b_hat = np.array([errs])
-        errors = np.where(failed, "Failed", "")
-        for lo, hi in zip([0] + cuts, cuts + [M]):
-            cli._tally(entry, lo, b_hat[:, lo:hi], np.zeros((hi - lo, 1)),
-                       errors[lo:hi])
-        assert repr(entry) == repr(want)
+        blocks = []
+
+        def outcomes(r, T, det_tol):
+            lo = sum(blocks)
+            blocks.append(r.shape[0])
+            hi = lo + r.shape[0]
+            solved = (np.array([b_hat[lo:hi]]),
+                      np.where(failed[lo:hi], "Failed", ""))
+            return np.array(failing[lo:hi]), dict.fromkeys(
+                ("krein", "factorization", "gelfand_levitan"), solved)
+
+        with mock.patch.object(cli, "_BLOCK", block), \
+                mock.patch.object(cli, "_block_outcomes", outcomes):
+            report = roundtrip_report(0, M, 2, 0.0)
+        assert blocks == [min(block, M - lo) for lo in range(0, M, block)]
+        for name in ("krein", "factorization", "gelfand_levitan"):
+            assert repr(report["methods"][name]) == repr(want)
+        inadmissible = [i for i, order in enumerate(failing) if order]
+        assert report["characterization"] == {
+            "admissible_count": M - len(inadmissible),
+            "inadmissible_instances": inadmissible}
 
     def test_report_crossing_two_blocks(self):
         # at T = 16, amplitude 2 some instances raise in each solver

@@ -8,11 +8,10 @@ from lattice_bc import spectral
 from lattice_bc.core import chebyshev_seq
 from lattice_bc.forward import solve_interval, solve_semi_infinite
 from lattice_bc.linalg import ConvergenceFailure, tridiag_eigensystem
-from lattice_bc.spectral import (Hamiltonian, SpectralData, SpectralMeasure,
+from lattice_bc.spectral import (Hamiltonian, SpectralData,
                                  build_hamiltonian, connecting_from_spectral,
                                  eigen_decompose, invert_spectral,
-                                 kernel_from_spectral, phi_polynomial,
-                                 spectral_measure)
+                                 kernel_from_spectral, phi_polynomial)
 
 from helpers import decimal_eigendata
 
@@ -369,26 +368,26 @@ class TestConnectingFromSpectral:
 
 
 class TestSpectralMeasure:
+    # the measure sum_k (1 / rho_k) delta_{lambda_k} of SpectralData
     def test_single_site_steps(self):
         sd = eigen_decompose(build_hamiltonian([0.9], 1))
-        mu = spectral_measure(sd)
-        assert mu.evaluate(-1.0) == 0.0
-        assert mu.evaluate(-0.9) == 0.0  # strictly below the jump
-        assert mu.evaluate(0.0) == 1.0
-        assert mu.total_mass == 1.0
+        assert sd.distribution(-1.0) == 0.0
+        assert sd.distribution(-0.9) == 0.0  # strictly below the jump
+        assert sd.distribution(0.0) == 1.0
+        assert sd.total_mass == 1.0
 
     def test_free_two_site_half_jumps(self):
         sd = eigen_decompose(build_hamiltonian(np.zeros(2), 2))
-        mu = spectral_measure(sd)
-        assert mu.evaluate(-2.0) == 0.0
-        assert mu.evaluate(0.0) == pytest.approx(0.5, abs=1e-10)
-        assert mu.evaluate(2.0) == pytest.approx(1.0, abs=1e-10)
+        assert sd.distribution(-2.0) == 0.0
+        assert sd.distribution(0.0) == pytest.approx(0.5, abs=1e-10)
+        assert sd.distribution(2.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_validation(self):
+        # decreasing eigenvalues, and a zero weight 1 / rho
         with pytest.raises(ValueError):
-            SpectralMeasure(locations=[1.0, 0.0], weights=[0.5, 0.5])
+            SpectralData(eigenvalues=[1.0, 0.0], norming=[2.0, 2.0])
         with pytest.raises(ValueError):
-            SpectralMeasure(locations=[0.0, 1.0], weights=[0.5, 0.0])
+            SpectralData(eigenvalues=[0.0, 1.0], norming=[2.0, np.inf])
 
 
 class TestInvertSpectral:
