@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (as_float_array, check_count, check_horizon, check_kernel,
-                   convolve)
+                   check_potential, convolve, float_array)
 from .forward import _wave_steps, solve_goursat, solve_semi_infinite
 
 
@@ -37,11 +37,9 @@ def _response_kernels(b, K):
     sites: waves move one site per step, so r_s = w_{1,s} is exact for
     s <= 2 ceil(K/2) >= K, and sites beyond the band are never read.
     """
-    M = b.shape[0]
-    r = np.zeros((M, K + 1))
-    if K >= 1:
-        for s, w in enumerate(_wave_steps(b, K, (K + 1) // 2)):
-            r[:, s] = w[1]
+    r = np.zeros((b.shape[0], K + 1))
+    for s, w in enumerate(_wave_steps(b, K, (K + 1) // 2)):
+        r[:, s] = w[1]
     r[:, 0] = 1.0
     return r
 
@@ -50,13 +48,14 @@ def response_kernel(b, K):
     """Kernel prefix (r_0, ..., r_K) for the potential b.
 
     r_0 = 1 exactly; deeper entries come from the triangular kernel's
-    first row.  The potential is zero-padded as needed.  The fill reads
-    only b_1 .. b_ceil(K/2), the sites a wave can reach and return from
-    by time K: entries beyond them cannot influence the returned prefix,
+    first row.  The potential is zero-padded as needed.  All of b is
+    checked, at every order K, but the fill reads only
+    b_1 .. b_ceil(K/2), the sites a wave can reach and return from by
+    time K: entries beyond them cannot influence the returned prefix,
     nor overflow while it is computed.
     """
     K = check_count(K, 0, "kernel order must be nonnegative")
-    b = as_float_array(b, "potential") if K >= 1 else np.zeros(0)
+    b = check_potential(b)
     return _response_kernels(b[None], K)[0]
 
 
@@ -67,12 +66,8 @@ def apply_response(r, f):
     at time j+1 to the control prefix f = (f_0, ..., f_{T-1}).
     """
     f = as_float_array(f, "control")
-    r = check_kernel(r)
     T = f.size
-    if T == 0:
-        return np.zeros(0)
-    if r.size < T:
-        raise ValueError("kernel too short for control length")
+    r = check_kernel(r, T, "kernel too short for control length")
     return convolve(r[:T], f)[:T]
 
 
@@ -85,12 +80,8 @@ def apply_response_adjoint(r, g):
     Toeplitz form of apply_response.
     """
     g = as_float_array(g, "observation")
-    r = check_kernel(r)
     T = g.size
-    if T == 0:
-        return np.zeros(0)
-    if r.size < T:
-        raise ValueError("kernel too short for observation length")
+    r = check_kernel(r, T, "kernel too short for observation length")
     return convolve(g[::-1], r[:T])[:T][::-1]
 
 
@@ -103,9 +94,7 @@ def control_matrix(b, T):
     det W^T = +-1 and the map is always invertible.
     """
     T = check_horizon(T)
-    b = as_float_array(b, "potential")
-    if b.size < T - 1:
-        raise ValueError("potential too short for horizon")
+    b = check_potential(b, T - 1, "potential too short for horizon")
     W = np.zeros((T, T))
     W[np.arange(T), T - 1 - np.arange(T)] = 1.0
     if T >= 2:
@@ -124,9 +113,7 @@ def connecting_matrix(r, T):
     C_{TT} = r_0 = 1, and its last row is the reversed kernel prefix.
     """
     T = check_horizon(T)
-    r = check_kernel(r)
-    if r.size < 2 * T - 1:
-        raise ValueError("kernel too short for horizon")
+    r = check_kernel(r, 2 * T - 1, "kernel too short for horizon")
     C = np.empty((T, T))
     for j in range(1, T + 1):
         # rows i <= j share T - j + 1 terms; row sums keep np.sum's order
@@ -146,7 +133,7 @@ def rotated_connecting(C):
     is the matrix whose LDL^T factorization the inverse solvers and the
     characterization test read.
     """
-    C = np.asarray(C, dtype=float)
+    C = float_array(C, "connecting matrix")
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("connecting matrix must be square")
     return np.flip(C, (0, 1)).T.copy()
@@ -163,7 +150,6 @@ def connecting_via_waves(b, T):
     exact, as in solve_semi_infinite and response_kernel.
     """
     T = check_horizon(T)
-    b = as_float_array(b, "potential")
     delta = np.zeros(T)
     delta[0] = 1.0
     field = solve_semi_infinite(b, delta, T)

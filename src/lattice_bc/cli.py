@@ -25,7 +25,7 @@ import numpy as np
 from . import files
 from .bc_ops import (_response_kernels, connecting_matrix,
                      connecting_via_waves, response_kernel)
-from .core import check_count, check_det_tol
+from .core import check_count, check_det_tol, is_real
 from .forward import solve_interval, solve_semi_infinite
 from .inversion import (DET_TOL, DegenerateTrace, KreinConfig,
                         SingularConnecting, SingularLeadingMinor,
@@ -199,7 +199,8 @@ def roundtrip_report(seed, instances, T, amplitude, det_tol=DET_TOL):
     check_count(instances, 0, "instances must be nonnegative")
     check_count(T, 1, "--horizon is required and must be positive")
     # the draws span 2 * amplitude, which must be finite
-    if not 0.0 <= amplitude <= np.finfo(float).max / 2:
+    if not (is_real(amplitude)
+            and 0.0 <= amplitude <= np.finfo(float).max / 2):
         raise ValueError("amplitude must be finite and nonnegative")
     det_tol = check_det_tol(det_tol)
     rng = np.random.default_rng(seed)

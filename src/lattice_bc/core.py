@@ -4,16 +4,33 @@ All sequences are 1-D float arrays indexed from zero.  A potential
 ``b = (b_1, ..., b_M)`` is stored with ``b[n-1] = b_n``; boundary controls
 ``f = (f_0, ..., f_{T-1})`` and response kernels ``r = (r_0, r_1, ...)``
 are stored at their natural offsets.
+
+Each kind of input has one check, which every public entry point that
+takes it calls: check_potential, check_kernel (r_0 = 1 and the length
+its caller reads), check_count, is_real for a real parameter, and
+spectral.check_spectral.  A malformed argument raises ValueError, never
+numpy's TypeError, which float_array turns into one.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
+
+
+def float_array(values, name="values"):
+    """values as a float64 array of any shape; ValueError, not numpy's
+    TypeError, when they are not numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be real numbers") from None
 
 
 def as_float_array(values, name="values"):
     """Coerce to a 1-D float64 array, rejecting non-finite entries."""
-    arr = np.asarray(values, dtype=float)
+    arr = float_array(values, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -21,12 +38,37 @@ def as_float_array(values, name="values"):
     return arr
 
 
-def check_kernel(r, name="kernel"):
-    """Validate a response kernel prefix: r_0 = 1 exactly."""
-    arr = as_float_array(r, name)
+def check_potential(b, least=0, message=None):
+    """The potential b as a 1-D float array of finite entries; raise
+    ValueError(message) when it has fewer than least sites."""
+    b = as_float_array(b, "potential")
+    if b.size < least:
+        raise ValueError(message)
+    return b
+
+
+def check_kernel(r, least=1, message=None):
+    """The kernel prefix r as a 1-D float array of finite entries with
+    r_0 = 1 exactly; raise ValueError(message) when it has fewer than
+    least entries."""
+    arr = as_float_array(r, "kernel")
     if arr.size == 0 or arr[0] != 1.0:
-        raise ValueError(f"{name} must start with r_0 = 1")
+        raise ValueError("kernel must start with r_0 = 1")
+    if arr.size < least:
+        raise ValueError(message)
     return arr
+
+
+def is_real(value):
+    """Whether value is one real number: a float, an int within the
+    float range, or a numpy scalar or 0-d array of either.  bool is an
+    int subclass but, as in check_count, no number here."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, float) or (
+        isinstance(value, int) and abs(value) <= sys.float_info.max)
 
 
 def check_count(value, least, message):
@@ -49,10 +91,11 @@ def check_horizon(T, name="horizon"):
 
 def check_det_tol(det_tol):
     """Return det_tol, the admissibility slack for the unit leading
-    minors of the reversed connecting matrix, as a float if it is
-    finite, nonnegative and below 1, so that passing the test also
-    means positive definite; raise ValueError otherwise."""
-    if not np.isfinite(det_tol) or det_tol < 0.0:
+    minors of the reversed connecting matrix, as a float if it is a
+    real number (is_real), finite, nonnegative and below 1, so that
+    passing the test also means positive definite; raise ValueError
+    otherwise."""
+    if not is_real(det_tol) or not np.isfinite(det_tol) or det_tol < 0.0:
         raise ValueError("det_tol must be finite and nonnegative")
     if det_tol >= 1.0:
         raise ValueError("det_tol must be below 1, so that unit minors "
@@ -85,7 +128,10 @@ def chebyshev_seq(t_max, lam):
     and each column is the sequence at one point.
     """
     t_max = check_horizon(t_max, "t_max")
-    lam = np.asarray(lam, dtype=float)
+    # numpy would read None as the point NaN
+    if lam is None:
+        raise ValueError("lam must be real numbers")
+    lam = float_array(lam, "lam")
     out = np.empty((t_max + 1,) + lam.shape)
     out[0] = 0.0
     out[1] = 1.0

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_float_array
-from .spectral import SpectralData
+from .core import as_float_array, check_kernel, float_array, is_real
+from .spectral import SpectralData, check_spectral
 
 KINDS = ("potential", "control", "kernel", "spectral")
 
@@ -83,20 +83,11 @@ def dumps_json(obj, indent=0):
     raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _is_number(value):
-    # bool is an int subclass, a string is never read as a number, and
-    # an integer beyond the float range has no float value
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, float) or (
-        isinstance(value, int) and abs(value) <= sys.float_info.max)
-
-
 def _validate_payload(kind, values):
     if kind == "spectral":
         if not (isinstance(values, list) and values
                 and all(isinstance(pair, list) and len(pair) == 2
-                        and all(map(_is_number, pair)) for pair in values)):
+                        and all(map(is_real, pair)) for pair in values)):
             raise ValueError(
                 "spectral values must be [lambda, rho] pairs of numbers")
         arr = np.asarray(values, dtype=float)
@@ -108,13 +99,13 @@ def _validate_payload(kind, values):
             raise ValueError(
                 f"spectral weights must have unit mass (got {mass!r})")
         return arr
-    if not (isinstance(values, list) and all(map(_is_number, values))):
+    if not (isinstance(values, list) and all(map(is_real, values))):
         raise ValueError(f"{kind} values must be a list of numbers")
     arr = as_float_array(values, f"{kind} values")
     if arr.size < 1:
         raise ValueError(f"{kind} values must be nonempty")
-    if kind == "kernel" and arr[0] != 1.0:
-        raise ValueError("kernel must start with r_0 = 1")
+    if kind == "kernel":
+        check_kernel(arr)
     return arr
 
 
@@ -154,8 +145,7 @@ def problem_document(kind, values, meta=None):
 
 def spectral_problem(sd):
     """Problem document for SpectralData: values are [lambda, rho] pairs."""
-    if not isinstance(sd, SpectralData):
-        raise ValueError("sd must be SpectralData")
+    sd = check_spectral(sd)
     pairs = [[float(l), float(r)]
              for l, r in zip(sd.eigenvalues, sd.norming)]
     return problem_document("spectral", pairs, {"size": sd.size})
@@ -192,7 +182,7 @@ def write_text(text, path=None):
 
 def _table_csv(values, what, corner, first):
     """CSV with a header row and a label column, labels counting from first."""
-    arr = np.asarray(values, dtype=float)
+    arr = float_array(values, what)
     if arr.ndim != 2:
         raise ValueError(f"{what} must be 2-D")
     lines = [",".join([corner]

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (as_float_array, chebyshev_seq, check_count, check_horizon,
-                   convolve)
+                   check_potential, convolve, float_array)
+from .spectral import check_spectral
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class WaveField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = float_array(self.values, "field table")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("field table must be a nonempty 2-D array")
         object.__setattr__(self, "values", arr)
@@ -74,7 +75,7 @@ class GoursatKernel:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.table, dtype=float)
+        arr = float_array(self.table, "kernel table")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("kernel table must be square")
         object.__setattr__(self, "table", arr)
@@ -85,8 +86,8 @@ class GoursatKernel:
 
     def value(self, n, s):
         """w_{n,s} with the implicit zeros outside the stored wedge."""
-        if n < 0 or s < 0:
-            raise ValueError("kernel indices must be nonnegative")
+        n = check_count(n, 0, "kernel indices must be nonnegative")
+        s = check_count(s, 0, "kernel indices must be nonnegative")
         if n > self.order or s > self.order:
             raise ValueError("kernel index beyond stored order")
         return float(self.table[n, s])
@@ -112,7 +113,7 @@ def solve_semi_infinite(b, f, T):
     same bits on rows 0..T, so that is how the table is computed.
     """
     T = check_horizon(T)
-    b = as_float_array(b, "potential")
+    b = check_potential(b)
     return WaveField(_table(b, T, T, _control(f, T))[:T + 1])
 
 
@@ -183,9 +184,7 @@ def solve_goursat(b, S):
     every step kept.
     """
     S = check_horizon(S, "order")
-    b = as_float_array(b, "potential")
-    if b.size < S:
-        raise ValueError("potential too short for requested order")
+    b = check_potential(b, S, "potential too short for requested order")
     return GoursatKernel(_table(b, S, S)[:S + 1])
 
 
@@ -193,12 +192,14 @@ def apply_representation(kernel, f, n, t):
     """Evaluate u_{n,t} = f_{t-n} + sum_{s=n}^{t-1} w_{n,s} f_{t-s-1}.
 
     The control f is treated as zero outside its stored range.  The
-    kernel must cover second indices up to t-1 whenever the sum is
-    nonempty.
+    kernel, a GoursatKernel, must cover second indices up to t-1
+    whenever the sum is nonempty.
     """
     n = check_horizon(n, "site index")
     t = check_count(t, 0, "time index must be nonnegative")
     f = as_float_array(f, "control")
+    if not isinstance(kernel, GoursatKernel):
+        raise ValueError("kernel must be a GoursatKernel")
     if t > n and kernel.order < t - 1:
         raise ValueError("kernel coverage insufficient for requested time")
     total = f[t - n] if 0 <= t - n < f.size else 0.0
@@ -220,9 +221,7 @@ def solve_interval(b, N, f, T):
     N = check_horizon(N, "interval size")
     T = check_horizon(T)
     control = _control(f, T)
-    b = as_float_array(b, "potential")
-    if b.size < N:
-        raise ValueError("potential too short for interval size")
+    b = check_potential(b, N, "potential too short for interval size")
     return WaveField(_table(b, T, N, control))
 
 
@@ -235,6 +234,7 @@ def interval_fourier_solution(sd, f, T):
     lambda_k, weighted by 1/rho_k.  Requires eigenvectors in sd.
     Returns a WaveField of shape (N+2, T+1) matching solve_interval.
     """
+    sd = check_spectral(sd)
     if sd.eigenvectors is None:
         raise ValueError("spectral data must include eigenvectors")
     T = check_horizon(T)

@@ -54,7 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bc_ops import apply_response_adjoint
-from .core import check_det_tol, check_horizon, check_kernel, kappa_seq
+from .core import (check_det_tol, check_horizon, check_kernel, is_real,
+                   kappa_seq)
 
 # relative floor below which a Krein trace value counts as vanished
 _DEGENERACY_TOL = 1e-8
@@ -113,7 +114,8 @@ class KreinConfig:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (is_real(self.alpha) and is_real(self.beta)
+                and np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("alpha and beta must not both vanish")
@@ -140,10 +142,7 @@ class CharacterizationVerdict:
 
 def _checked_kernel(r, T):
     T = check_horizon(T)
-    r = check_kernel(r)
-    if r.size < 2 * T - 1:
-        raise ValueError("kernel must cover index 2T - 2")
-    return r, T
+    return check_kernel(r, 2 * T - 1, "kernel must cover index 2T - 2"), T
 
 
 class _Answers(NamedTuple):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import as_float_array, chebyshev_seq, check_count, check_horizon
+from .core import (as_float_array, chebyshev_seq, check_count, check_horizon,
+                   check_potential, float_array, is_real)
 from .linalg import ConvergenceFailure
 
 __all__ = [
@@ -69,8 +70,9 @@ class SpectralData:
 
     norming[k] is rho_k = |phi^k|^2 for the eigenvector rescaled to
     phi^k_1 = 1; eigenvectors (rows, in that rescaling) are optional
-    and only needed for field synthesis.  The measure weights 1/rho_k
-    sum to one for data coming from an actual operator.
+    and only needed for field synthesis.  All three arrays must be
+    finite.  The measure weights 1/rho_k sum to one for data coming
+    from an actual operator.
     """
 
     eigenvalues: np.ndarray
@@ -89,9 +91,11 @@ class SpectralData:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "norming", rho)
         if self.eigenvectors is not None:
-            vec = np.asarray(self.eigenvectors, dtype=float)
+            vec = float_array(self.eigenvectors, "eigenvectors")
             if vec.shape != (lam.size, lam.size):
                 raise ValueError("eigenvector table shape mismatch")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("eigenvectors contains non-finite entries")
             object.__setattr__(self, "eigenvectors", vec)
 
     @property
@@ -109,12 +113,18 @@ class SpectralData:
         return float(np.sum(1.0 / self.norming[self.eigenvalues < x]))
 
 
+def check_spectral(sd):
+    """Return sd if it is SpectralData, whose constructor checks its
+    arrays; raise ValueError otherwise."""
+    if not isinstance(sd, SpectralData):
+        raise ValueError("sd must be SpectralData")
+    return sd
+
+
 def build_hamiltonian(b, N):
     """Interval Hamiltonian of size N for the potential b (len(b) >= N)."""
     N = check_horizon(N, "size")
-    b = as_float_array(b, "potential")
-    if b.size < N:
-        raise ValueError("potential too short for requested size")
+    b = check_potential(b, N, "potential too short for requested size")
     return Hamiltonian(diag=-b[:N].copy())
 
 
@@ -170,9 +180,9 @@ def phi_polynomial(b, lam, N):
     eigenvector.  Requires len(b) >= N.
     """
     N = check_horizon(N, "size")
-    b = as_float_array(b, "potential")
-    if b.size < N:
-        raise ValueError("potential too short for requested size")
+    b = check_potential(b, N, "potential too short for requested size")
+    if not is_real(lam):
+        raise ValueError("lam must be a real number")
     phi = np.zeros(N + 2)
     phi[0] = 0.0
     phi[1] = 1.0
@@ -190,8 +200,7 @@ def kernel_from_spectral(sd, K, dirichlet_correction=False):
     r_0 is pinned to 1 exactly: the computed mass sum equals one up to
     roundoff for any data produced by an actual operator.
     """
-    if not isinstance(sd, SpectralData):
-        raise ValueError("sd must be SpectralData")
+    sd = check_spectral(sd)
     N = sd.size
     limit = 2 * N if dirichlet_correction else 2 * N - 1
     K = check_count(K, 0, "kernel order must be nonnegative")
@@ -215,8 +224,7 @@ def connecting_from_spectral(sd, T):
     (1-based l, m); for horizons within the interval size this equals
     the kernel-built connecting matrix.
     """
-    if not isinstance(sd, SpectralData):
-        raise ValueError("sd must be SpectralData")
+    sd = check_spectral(sd)
     T = check_horizon(T)
     N = sd.size
     if T > N:
@@ -249,8 +257,7 @@ def invert_spectral(sd):
     than _COUPLING_TOL from 1: such data have unit mass but are the
     spectral data of no unit-coupled Jacobi matrix.
     """
-    if not isinstance(sd, SpectralData):
-        raise ValueError("sd must be SpectralData")
+    sd = check_spectral(sd)
     N = sd.size
     lam = sd.eigenvalues
     Q = np.empty((N, N))

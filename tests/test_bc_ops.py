@@ -84,6 +84,13 @@ class TestResponseKernel:
 
     def test_zero_order(self):
         assert np.array_equal(response_kernel([3.0], 0), [1.0])
+        assert np.array_equal(response_kernel([], 0), [1.0])
+        # the potential is checked at order 0 as at every other order
+        for bad in (object(), [np.nan], [[1.0]]):
+            with pytest.raises(ValueError):
+                response_kernel(bad, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            response_kernel([0.0, np.nan], 1)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

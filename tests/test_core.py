@@ -10,7 +10,8 @@ import helpers
 from lattice_bc.bc_ops import response_kernel
 from lattice_bc import cli, spectral
 from lattice_bc.core import (as_float_array, chebyshev_seq, check_det_tol,
-                             check_horizon, check_kernel, convolve, kappa_seq)
+                             check_horizon, check_kernel, convolve, is_real,
+                             kappa_seq)
 from lattice_bc.forward import apply_representation, solve_goursat
 from lattice_bc.inversion import DET_TOL, characterize_response
 from lattice_bc.spectral import (build_hamiltonian, eigen_decompose,
@@ -177,6 +178,22 @@ class TestValidation:
             check_kernel([])
         out = check_kernel([1.0, -2.0])
         assert np.array_equal(out, [1.0, -2.0])
+        # the r_0 rule comes before the length its caller reads
+        with pytest.raises(ValueError, match="r_0 = 1"):
+            check_kernel([0.5], 3, "too short")
+        with pytest.raises(ValueError, match="too short"):
+            check_kernel([1.0, 0.5], 3, "too short")
+        assert np.array_equal(check_kernel([1.0, 0.5, 0.0], 3), [1, 0.5, 0])
+
+    def test_is_real(self):
+        # one number, never a bool, a string, an array of more than
+        # zero dimensions or an int with no float value
+        for x in (0, -3, 0.5, -0.0, np.nan, np.inf, np.float32(1.5),
+                  np.int64(2), np.array(0.25), 2 ** 1000):
+            assert is_real(x), x
+        for x in (True, False, np.bool_(True), "0.5", None, object(),
+                  [0.5], [[0.5]], np.array([0.5]), 1j, 2 ** 1024):
+            assert not is_real(x), x
 
     def test_bool_is_not_a_count(self):
         # bool is an int subclass; True must not pass as the count 1

@@ -244,6 +244,13 @@ class TestEigenDecompose:
             SpectralData(eigenvalues=[1.0, 0.5], norming=[2.0, 2.0])
         with pytest.raises(ValueError):
             SpectralData(eigenvalues=[0.5, 1.0], norming=[2.0, -2.0])
+        # the eigenvector table is checked like the other two arrays,
+        # so interval_fourier_solution never synthesizes a NaN field
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eigenvectors contains "
+                                                 "non-finite entries"):
+                SpectralData(eigenvalues=[0.5, 1.0], norming=[2.0, 2.0],
+                             eigenvectors=[[1.0, bad], [1.0, 1.0]])
 
 
 class TestPhiPolynomial:
