@@ -193,9 +193,11 @@ def roundtrip_report(seed, instances, T, amplitude, det_tol=DET_TOL):
     the report is the same bytes as one draw, kernel and solver call
     per instance.  The worst error is max over the successes in
     instance order, which keeps the first value and replaces it only by
-    a strictly larger one, so a NaN first error stays.  The counts and
-    the amplitude are checked before det_tol.
+    a strictly larger one, so a NaN first error stays.  The seed, the
+    counts and the amplitude are checked, in that order, before det_tol.
     """
+    # numpy's generator would take None as a fresh, unrecorded seed
+    check_count(seed, 0, "seed must be a nonnegative integer")
     check_count(instances, 0, "instances must be nonnegative")
     check_count(T, 1, "--horizon is required and must be positive")
     # the draws span 2 * amplitude, which must be finite

@@ -135,8 +135,14 @@ def chebyshev_seq(t_max, lam):
     out = np.empty((t_max + 1,) + lam.shape)
     out[0] = 0.0
     out[1] = 1.0
+    # each new row written in place through views made once, flat so
+    # that scalar and n-d points take the same loop; the arithmetic
+    # stays that of lam * T_t - T_{t-1}
+    rows = list(out.reshape(t_max + 1, -1))
+    lam = lam.reshape(-1)
     for t in range(1, t_max):
-        out[t + 1] = lam * out[t] - out[t - 1]
+        np.multiply(lam, rows[t], out=rows[t + 1])
+        rows[t + 1] -= rows[t - 1]
     return out
 
 

@@ -17,7 +17,9 @@ Both kernels spend their work on arithmetic, and each site costs few
 numpy calls.  A multisection pass counts one tree of nested midpoints
 per distinct bracket, as deep as a fixed budget of shifts allows: in
 the first pass every eigenvalue shares the Gershgorin bracket, and one
-tree takes ten halvings for all of them.  The count keeps the pivots of
+tree takes ten halvings for all of them.  The walk down the trees
+follows each eigenvalue's flat position in the raveled tree and its
+counts, one take per level.  The count keeps the pivots of
 a block of sites in a reused buffer, so a site costs a divide and a
 subtract, and the sign bits are counted once per block.  The twisted
 factorization runs its recurrences unclamped in IEEE arithmetic on
@@ -32,6 +34,8 @@ and a clamp at every pivot.
 from __future__ import annotations
 
 import numpy as np
+
+from .core import as_float_array
 
 _EPS = np.finfo(float).eps
 
@@ -118,11 +122,15 @@ def _multisect(d, lower, upper, target, pivmin, width=None):
     allows, and the walk down that tree then applies the halvings one
     level at a time, with the stopping test and the _BISECTION_STEPS
     cap checked before each.  Stops once every bracket is at most width
-    wide, or at roundoff scale when width is None.
+    wide, or at roundoff scale when width is None; a NaN bracket never
+    stops, so its walk runs to the cap.
     """
     def settled():
-        tol = width if width is not None else (
-            _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin)
+        # max <= width has the truth value of all(... <= width), a NaN
+        # width of a bracket included
+        if width is not None:
+            return bool((upper - lower).max() <= width)
+        tol = _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin
         return bool(np.all(upper - lower <= tol))
 
     steps = 0
@@ -147,18 +155,21 @@ def _multisect(d, lower, upper, target, pivmin, width=None):
             mids.append(mid)
             level_lo = np.concatenate((level_lo, mid))
             level_hi = np.concatenate((mid, level_hi))
-        tree = np.concatenate(mids)
-        counts = _sturm_counts(d, tree.ravel()).reshape(tree.shape)
-        node = np.zeros(lower.size, dtype=np.int64)
+        # the walk reads the raveled tree and its counts at flat
+        # positions, first.size to a row: node p of level j sits in row
+        # 2**j - 1 + p, so its children lie 2**j rows on (the lower
+        # half) and 2**(j+1) rows on (the upper half)
+        tree = np.concatenate(mids).ravel()
+        counts = _sturm_counts(d, tree)
+        at = group
         for level in range(depth):
             if level and (steps == _BISECTION_STEPS or settled()):
                 break
-            row = node + (2 ** level - 1)
-            mid = tree[row, group]
-            take_upper = counts[row, group] >= target
+            mid = tree[at]
+            take_upper = counts[at] >= target
             upper = np.where(take_upper, mid, upper)
             lower = np.where(take_upper, lower, mid)
-            node += ~take_upper * 2 ** level
+            at += np.where(take_upper, 1, 2) * (2 ** level * first.size)
             steps += 1
     return lower, upper
 
@@ -252,9 +263,12 @@ def tridiag_eigensystem(d):
     _KEPT of its length to them, as the second of an exactly repeated
     eigenvalue does, reports an infinite residual.  Nothing here raises
     or warns on convergence or overflow: callers judge the residuals.
+    d must be a nonempty 1-D array of finite reals, or ValueError.
     """
-    d = np.asarray(d, dtype=float)
+    d = as_float_array(d, "diagonal")
     n = d.size
+    if n == 0:
+        raise ValueError("diagonal must be nonempty")
     if n == 1:
         return d.copy(), np.ones((1, 1)), np.zeros(1)
     radius = np.full(n, 2.0)

@@ -210,8 +210,10 @@ def kernel_from_spectral(sd, K, dirichlet_correction=False):
     table = chebyshev_seq(K + 1, sd.eigenvalues)
     r = np.empty(K + 1)
     r[0] = 1.0
-    # one dot per entry: a single table @ weights may round differently
-    r[1:] = [weights @ row for row in table[2:]]
+    # one dot per entry, as weights @ row gives it: a stack of 1 x 1
+    # products runs one dot each, where table @ weights is one
+    # matrix-vector product and may round differently
+    r[1:] = (table[2:, None, :] @ weights[:, None])[:, 0, 0]
     if dirichlet_correction and K == 2 * N:
         r[K] += 1.0
     return r
@@ -264,15 +266,20 @@ def invert_spectral(sd):
     Q[0] = np.sqrt(1.0 / sd.norming)
     Q[0] /= np.sqrt(Q[0] @ Q[0])
     norms = []
+    # each new vector is formed in place in its row of Q, through views
+    # made once
+    rows = list(Q)
     # a norm that overflows or vanishes fails the check below, not as a
     # warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(N - 1):
-            v = lam * Q[n]
+            basis = Q[:n + 1]
+            v = rows[n + 1]
+            np.multiply(lam, rows[n], out=v)
             for _ in range(2):
-                v -= (Q[:n + 1] @ v) @ Q[:n + 1]
+                v -= (basis @ v) @ basis
             norms.append(math.sqrt(v @ v))
-            Q[n + 1] = v / norms[-1]
+            v /= norms[-1]
     if not all(0.0 < norm < math.inf for norm in norms):
         raise ValueError("spectral data give no orthonormal Lanczos basis "
                          "in float range")

@@ -12,13 +12,21 @@ decimal arithmetic, and the one-instance-at-a-time round-trip loop
 that the blocked round-trip report must reproduce byte for byte.
 numpy.linalg appears only here and never inside the library, so
 cross-checks are genuinely two-route.
+
+The plain forms at the end are the other kind of reference: the
+spectral kernels written with one numpy call per row or per level,
+which the library's leaner loops must match bit for bit on the
+diagonals of diagonal_families.
 """
+
+import math
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
+from lattice_bc import linalg
 from lattice_bc.bc_ops import response_kernel
 from lattice_bc.inversion import (DET_TOL, InversionError,
                                   characterize_response,
@@ -343,3 +351,135 @@ def reference_roundtrip_report(seed, instances, T, amplitude,
             "inadmissible_instances": inadmissible,
         },
     }
+
+
+def diagonal_families(seed=0):
+    """(name, diagonal) pairs of the kinds the eigensolver tests use:
+    random at small and large amplitude, integer (exact zero
+    eigenvalues and zero pivots), signed zeros, wells, and a block and
+    its mirror image behind a barrier (eigenvalues in close pairs)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (1, 2, 3, 9, 33, 64):
+        for amplitude in (0.3, 5.0, 1e3):
+            out.append((f"random-{n}-{amplitude:g}",
+                        rng.uniform(-amplitude, amplitude, n)))
+    for n in (1, 4, 17, 40):
+        out.append((f"integer-{n}", np.round(rng.uniform(-3.0, 3.0, n))))
+    for n in (2, 8, 21):
+        d = rng.uniform(-1.0, 1.0, n)
+        d[::2] = -0.0
+        out.append((f"signed-zeros-{n}", d))
+        out.append((f"minus-zero-{n}", np.full(n, -0.0)))
+    for n, sites, depth in ((40, (10, 29), 4.0), (40, (5, 34), 9.0),
+                            (60, (15, 30, 45), 7.0)):
+        d = np.zeros(n)
+        d[list(sites)] = -depth
+        out.append((f"wells-{n}-{depth:g}", d))
+    for height, sites, integral in ((10.0, 2, False), (10.0, 4, False),
+                                    (30.0, 6, True), (1e3, 6, False)):
+        block = rng.uniform(-1.0, 1.0, 12)
+        if integral:
+            block = np.round(block)
+        d = np.concatenate((block, np.full(sites, height), block[::-1]))
+        out.append((f"mirrored-{height:g}-{sites}", d))
+    return out
+
+
+def same_bits(a, b):
+    """Whether arrays a and b agree in shape and in every bit, except
+    that any NaN matches any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def plain_chebyshev(t_max, lam):
+    """chebyshev_seq as the plain recurrence, one new row per step."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty((t_max + 1,) + lam.shape)
+    out[0] = 0.0
+    out[1] = 1.0
+    for t in range(1, t_max):
+        out[t + 1] = lam * out[t] - out[t - 1]
+    return out
+
+
+def plain_kernel_from_spectral(sd, K, dirichlet_correction=False):
+    """kernel_from_spectral with one dot weights @ row per entry."""
+    weights = 1.0 / sd.norming
+    table = plain_chebyshev(K + 1, sd.eigenvalues)
+    r = np.empty(K + 1)
+    r[0] = 1.0
+    r[1:] = [weights @ row for row in table[2:]]
+    if dirichlet_correction and K == 2 * sd.size:
+        r[K] += 1.0
+    return r
+
+
+def plain_invert_spectral(sd):
+    """invert_spectral's Lanczos loop with a new vector array per step:
+    b-hat, or the ValueError message it raises."""
+    N = sd.size
+    lam = sd.eigenvalues
+    Q = np.empty((N, N))
+    Q[0] = np.sqrt(1.0 / sd.norming)
+    Q[0] /= np.sqrt(Q[0] @ Q[0])
+    norms = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(N - 1):
+            v = lam * Q[n]
+            for _ in range(2):
+                v -= (Q[:n + 1] @ v) @ Q[:n + 1]
+            norms.append(math.sqrt(v @ v))
+            Q[n + 1] = v / norms[-1]
+    if not all(0.0 < norm < math.inf for norm in norms):
+        return "spectral data give no orthonormal Lanczos basis"
+    if any(abs(norm - 1.0) > 0.5 for norm in norms):
+        return "spectral data give Lanczos couplings far from 1"
+    return -((Q * Q) @ lam)
+
+
+def level_multisect(d, lower, upper, target, pivmin, width=None):
+    """linalg._multisect with its walk down each tree of midpoints
+    read level by level from the 2-D (level rows, bracket) table by
+    fancy indexing, and its width test as all(upper - lower <= width).
+    The module's constants are read at call time."""
+    def settled():
+        tol = width if width is not None else (
+            linalg._EPS * np.maximum(np.abs(lower), np.abs(upper))
+            + 2.0 * pivmin)
+        return bool(np.all(upper - lower <= tol))
+
+    steps = 0
+    while steps < linalg._BISECTION_STEPS and not settled():
+        bits = np.stack((lower, upper), axis=1).view(np.int64)
+        new = np.append(True, np.any(bits[1:] != bits[:-1], axis=1))
+        group = np.cumsum(new) - 1
+        first = np.flatnonzero(new)
+        depth = max(linalg._MIN_DEPTH,
+                    (linalg._PASS_SHIFTS // first.size + 1).bit_length() - 1)
+        level_lo, level_hi = lower[None, first], upper[None, first]
+        mids = []
+        for _ in range(depth):
+            mid = 0.5 * (level_lo + level_hi)
+            mids.append(mid)
+            level_lo = np.concatenate((level_lo, mid))
+            level_hi = np.concatenate((mid, level_hi))
+        tree = np.concatenate(mids)
+        counts = linalg._sturm_counts(d, tree.ravel()).reshape(tree.shape)
+        node = np.zeros(lower.size, dtype=np.int64)
+        for level in range(depth):
+            if level and (steps == linalg._BISECTION_STEPS or settled()):
+                break
+            row = node + (2 ** level - 1)
+            mid = tree[row, group]
+            take_upper = counts[row, group] >= target
+            upper = np.where(take_upper, mid, upper)
+            lower = np.where(take_upper, lower, mid)
+            node += ~take_upper * 2 ** level
+            steps += 1
+    return lower, upper

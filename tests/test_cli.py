@@ -541,7 +541,11 @@ class TestRoundtrip:
             helpers.reference_roundtrip_report(7, M, 16, 2.0))
 
     def test_report_function_checks_its_arguments(self):
-        bad = [((0, -1, 4, 0.3), "instances must be nonnegative"),
+        bad = [((-1, 2, 4, 0.3), "seed must be a nonnegative integer"),
+               ((None, 2, 4, 0.3), "seed must be a nonnegative integer"),
+               ((True, 2, 4, 0.3), "seed must be a nonnegative integer"),
+               ((1.5, 2, 4, 0.3), "seed must be a nonnegative integer"),
+               ((0, -1, 4, 0.3), "instances must be nonnegative"),
                ((0, True, 4, 0.3), "instances must be nonnegative"),
                ((0, 2.0, 4, 0.3), "instances must be nonnegative"),
                ((0, 2, 0, 0.3), "horizon is required and must be positive"),
@@ -561,8 +565,20 @@ class TestRoundtrip:
         for args, message in bad:
             with pytest.raises(ValueError, match=message):
                 roundtrip_report(*args, det_tol=2.0)
+        # the seed is checked before the counts
+        with pytest.raises(ValueError, match="seed must be"):
+            roundtrip_report("x", -1, 0, -0.1)
         assert roundtrip_report(0, np.int64(2), np.int64(3), 0.3)[
             "characterization"]["admissible_count"] == 2
+        assert (roundtrip_report(np.uint8(5), 3, 4, 0.3)
+                == roundtrip_report(5, 3, 4, 0.3))
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["roundtrip", "--instances", "2", "--horizon", "4",
+                     "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer\n"
 
     def test_output_is_the_report_function(self, capsys):
         assert main(["roundtrip", "--instances", "12", "--horizon", "10",

@@ -96,9 +96,10 @@ CASES = [
      (SD, 1, False), ("data", "count", None)),
     ("phi_polynomial", lattice_bc.phi_polynomial, (B, 0.5, 2),
      ("array", "real", "count")),
-    # the seed goes to numpy's generator as it is
+    # the seed is a count too: numpy's generator would take None as a
+    # fresh seed and True as 1
     ("roundtrip_report", cli.roundtrip_report, (0, 2, 2, 0.5, 1e-9),
-     (None, "count", "count", "real", "real")),
+     ("count", "count", "count", "real", "real")),
 ]
 
 # results and failures: no input of theirs comes from a caller

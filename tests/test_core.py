@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import helpers
 from lattice_bc.bc_ops import response_kernel
-from lattice_bc import cli, spectral
+from lattice_bc import cli, linalg, spectral
 from lattice_bc.core import (as_float_array, chebyshev_seq, check_det_tol,
                              check_horizon, check_kernel, convolve, is_real,
                              kappa_seq)
@@ -105,6 +105,26 @@ class TestChebyshev:
         assert table.shape == (25, lam.size)
         for k, point in enumerate(lam):
             assert np.array_equal(table[:, k], chebyshev_seq(24, point))
+
+    def test_in_place_rows_match_the_plain_recurrence(self):
+        # the rows are written in place through flat views: every bit of
+        # lam * T_t - T_{t-1} must stay, for scalar, empty, 1-D and 2-D
+        # points, a strided 2-D array, and points whose values overflow
+        # to inf and then to NaN
+        rng = np.random.default_rng(6)
+        points = [1.7, -0.0, np.float64(2.5), np.asarray(-1.25), [],
+                  np.zeros((2, 0)), rng.uniform(-2.5, 2.5, 9),
+                  rng.uniform(-3.0, 3.0, (3, 4)),
+                  rng.uniform(-3.0, 3.0, (5, 4)).T,
+                  [1e200, -1e200, 3.0, np.inf], [[1e300, 2.0]]]
+        points += [linalg.tridiag_eigensystem(d)[0]
+                   for _, d in helpers.diagonal_families()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lam in points:
+                for t_max in (1, 2, 3, 40):
+                    assert helpers.same_bits(chebyshev_seq(t_max, lam),
+                                             helpers.plain_chebyshev(t_max,
+                                                                     lam))
 
 
 class TestKappa:

@@ -20,6 +20,7 @@ from lattice_bc import linalg
 from lattice_bc.linalg import ConvergenceFailure
 from lattice_bc.spectral import Hamiltonian, eigen_decompose
 
+import helpers
 from helpers import decimal_eigendata
 
 EPS = np.finfo(float).eps
@@ -111,6 +112,19 @@ class TestEigen:
         assert np.array_equal(lam, [4.5])
         assert np.array_equal(vectors, [[1.0]])
         assert np.array_equal(residual, [0.0])
+
+    @pytest.mark.parametrize("d, message", [
+        (None, "diagonal must be one-dimensional"),
+        (object(), "diagonal must be real numbers"),
+        ([[1.0, 2.0]], "diagonal must be one-dimensional"),
+        ([], "diagonal must be nonempty"),
+        ([0.5, np.inf], "diagonal contains non-finite entries"),
+        ([np.nan], "diagonal contains non-finite entries"),
+    ], ids=["none", "object", "2-d", "empty", "inf", "nan"])
+    def test_malformed_diagonal_raises_value_error(self, d, message):
+        # None would be read as the point NaN and give a NaN eigenvalue
+        with pytest.raises(ValueError, match=message):
+            linalg.tridiag_eigensystem(d)
 
     @pytest.mark.parametrize("d, repeated", [
         (mirrored([0.5, -1.0, 0.25], 1e3, 8), [1, 3, 5]),
@@ -304,6 +318,36 @@ class TestKernels:
                                       target[one], pivmin)
             assert np.array_equal(alone, (fine[0][one], fine[1][one]))
         assert np.all(upper - lower <= width)
+
+    @pytest.mark.parametrize("cap", [None, 1, 7, 13, 30])
+    def test_flat_walk_matches_the_level_walk(self, monkeypatch, cap):
+        # the walk reads the raveled tree and its counts at flat
+        # positions, and the width stop reads one maximum: every bit of
+        # the level-by-level walk must stay, at the width stop, at the
+        # roundoff stop, and under step caps that end a walk inside a
+        # tree or between passes.  On the near-overflow diagonals the
+        # brackets go infinite, and a NaN bracket never settles, so
+        # those walks run to the cap
+        if cap is not None:
+            monkeypatch.setattr(linalg, "_BISECTION_STEPS", cap)
+        diagonals = [d for _, d in helpers.diagonal_families()]
+        diagonals += [np.array([1.7976931348623157e308, 0.0]),
+                      np.array([1e308, -1e308, 0.0])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, d in enumerate(diagonals):
+                lo, hi, scale, pivmin = gershgorin_setup(d)
+                target = np.arange(1, d.size + 1)
+                start = [np.full(d.size, lo), np.full(d.size, hi)]
+                if i == 10:
+                    start[1][d.size // 2] = np.nan
+                width = linalg._BRACKET_WIDTH * scale
+                coarse = linalg._multisect(d, *start, target, pivmin, width)
+                want = helpers.level_multisect(d, *start, target, pivmin,
+                                               width)
+                assert all(map(helpers.same_bits, coarse, want)), d
+                fine = linalg._multisect(d, *coarse, target, pivmin)
+                want = helpers.level_multisect(d, *coarse, target, pivmin)
+                assert all(map(helpers.same_bits, fine, want)), d
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 64])
     def test_sturm_counts_match_site_by_site(self, n):

@@ -13,7 +13,25 @@ from lattice_bc.spectral import (Hamiltonian, SpectralData,
                                  eigen_decompose, invert_spectral,
                                  kernel_from_spectral, phi_polynomial)
 
+import helpers
 from helpers import decimal_eigendata
+
+
+def family_data():
+    """Spectral data of every diagonal family that eigen_decompose
+    accepts, and data that no operator gives: huge, clustered and
+    far-coupled eigenvalues."""
+    out = []
+    for name, d in helpers.diagonal_families():
+        try:
+            out.append((name, eigen_decompose(Hamiltonian(diag=d))))
+        except ConvergenceFailure:
+            pass
+    out += [("huge", SpectralData([1e200, 1.5e200], [2.0, 2.0])),
+            ("far-coupled", SpectralData([0.0, 10.0], [2.0, 2.0])),
+            ("unequal", SpectralData([-1.0, 0.0, 1e-9, 3.0],
+                                     [1.5, 7.0, 7.0, 3e5]))]
+    return out
 
 
 def delta(T):
@@ -324,6 +342,21 @@ class TestKernelFromSpectral:
             raw_tail = corrected[2 * N] - 1.0
             assert r_semi[2 * N] - raw_tail == pytest.approx(1.0, abs=1e-9)
 
+    def test_stacked_dots_match_one_dot_per_row(self):
+        # one stacked matmul of 1 x 1 products must give the bits of one
+        # weights @ row per entry, at every order from 0 to the Dirichlet
+        # order 2N; a single table @ weights would not
+        data = family_data()
+        assert len(data) >= 30
+        for name, sd in data:
+            N = sd.size
+            for K, wall in ((0, False), (1, False), (2 * N - 1, False),
+                            (2 * N, True)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = kernel_from_spectral(sd, K, wall)
+                    want = helpers.plain_kernel_from_spectral(sd, K, wall)
+                assert helpers.same_bits(got, want), (name, K)
+
     def test_range_validation(self):
         sd = eigen_decompose(build_hamiltonian([0.5, 0.5], 2))
         kernel_from_spectral(sd, 3)
@@ -440,6 +473,17 @@ class TestInvertSpectral:
         sd = SpectralData(eigenvalues=[0.0, 10.0], norming=[2.0, 2.0])
         with pytest.raises(ValueError, match="couplings far from 1"):
             invert_spectral(sd)
+
+    def test_matches_the_plain_lanczos_loop(self):
+        # the vectors are formed in place in their rows of Q: b-hat, or
+        # the reason the data are refused, must stay bit for bit
+        for name, sd in family_data():
+            want = helpers.plain_invert_spectral(sd)
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=want):
+                    invert_spectral(sd)
+            else:
+                assert helpers.same_bits(invert_spectral(sd), want), name
 
     def test_interval_fourier_consistency(self):
         # delta-probe boundary data synthesized spectrally equals the
