@@ -5,10 +5,11 @@ apart from the half-line until a boundary signal has had time to reach
 the wall and come back: the response kernels agree on indices up to
 2N - 1, and the first disagreement, at index 2N, is exactly a unit
 jump carried by the reflected wave.  The demo reconstructs the
-interval kernel purely from eigenvalues and norming constants,
-tabulates it against the half-line kernel, and then shows the same
-unit jump in the time domain as the difference of the two boundary
-traces under a delta control.
+interval kernel purely from eigenvalues and norming constants (the
+prefix of order 2N that kernel_from_spectral returns, less the unit
+wall echo it adds back at index 2N), tabulates it against the
+half-line kernel, and then shows the same unit jump in the time domain
+as the difference of the two boundary traces under a delta control.
 
 Usage: python3 scripts/reflection_demo.py [--size 6] [--amplitude 0.5]
                                           [--seed 7]
@@ -37,8 +38,10 @@ def main():
     b = rng.uniform(-args.amplitude, args.amplitude, N)
 
     sd = eigen_decompose(build_hamiltonian(b, N))
-    raw = kernel_from_spectral(sd, 2 * N - 1)
-    corrected = kernel_from_spectral(sd, 2 * N, dirichlet_correction=True)
+    # the interval kernel: kernel_from_spectral adds the unit wall echo
+    # back at index 2N, so take it off again
+    interval = kernel_from_spectral(sd, 2 * N)
+    interval[2 * N] -= 1.0
     half = response_kernel(b, 2 * N)
 
     print(f"N = {N}, potential drawn uniform on "
@@ -46,21 +49,20 @@ def main():
     print(f"{'s':>3} {'half-line r_s':>22} {'spectral r_s':>22} "
           f"{'difference':>12}")
     for s in range(2 * N + 1):
-        entry = raw[s] if s < 2 * N else corrected[s] - 1.0
         note = "  <- wall echo" if s == 2 * N else ""
-        print(f"{s:>3} {half[s]:>22.15g} {entry:>22.15g} "
-              f"{half[s] - entry:>12.2e}{note}")
+        print(f"{s:>3} {half[s]:>22.15g} {interval[s]:>22.15g} "
+              f"{half[s] - interval[s]:>12.2e}{note}")
 
-    agree = float(np.max(np.abs(half[:2 * N] - raw)))
-    jump = half[2 * N] - (corrected[2 * N] - 1.0)
+    agree = float(np.max(np.abs(half[:2 * N] - interval[:2 * N])))
+    jump = half[2 * N] - interval[2 * N]
     print(f"\nmax disagreement on s <= {2 * N - 1}: {agree:.2e}")
     print(f"jump at s = {2 * N}: {jump:.15g} (theory: exactly 1)")
 
     T = 2 * N + 2
     f = np.zeros(T)
     f[0] = 1.0
-    u = solve_semi_infinite(b, f, T).boundary_trace()
-    v = solve_interval(b, N, f, T).boundary_trace()
+    u = solve_semi_infinite(b, f).boundary_trace()
+    v = solve_interval(b, N, f).boundary_trace()
     t_split = int(np.argmax(np.abs(u - v) > 1e-13)) + 1
     print(f"\ntime domain: delta-control traces first differ at "
           f"t = {t_split} (theory: 2N + 1 = {2 * N + 1}), "

@@ -152,6 +152,6 @@ def connecting_via_waves(b, T):
     T = check_horizon(T)
     delta = np.zeros(T)
     delta[0] = 1.0
-    field = solve_semi_infinite(b, delta, T)
+    field = solve_semi_infinite(b, delta)
     states = field.values[1:T + 1, T - np.arange(T)]
     return states.T @ states

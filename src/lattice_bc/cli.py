@@ -68,11 +68,10 @@ def cmd_forward(args):
     control = _load(args.control, "control")
     potential = _load(args.potential, "potential")
     f = control.values
-    T = f.size
     if args.interval_n is not None:
-        fld = solve_interval(potential.values, args.interval_n, f, T)
+        fld = solve_interval(potential.values, args.interval_n, f)
     else:
-        fld = solve_semi_infinite(potential.values, f, T)
+        fld = solve_semi_infinite(potential.values, f)
     csv = files.field_csv(fld.values)
     files.write_text(csv, args.output)
     trace = fld.boundary_trace()
@@ -93,17 +92,16 @@ def cmd_response(args):
 def cmd_connect(args):
     if (args.kernel is None) == (args.potential is None):
         raise ValueError("connect needs exactly one of --kernel/--potential")
-    T = args.horizon
     if args.kernel is not None:
         if args.via_waves or args.verify:
             raise ValueError(
                 "--via-waves/--verify need a potential input")
         pf = _load(args.kernel, "kernel")
-        if T is None:
-            T = _default_horizon(args, pf.values.size)
-        C = connecting_matrix(pf.values, T)
+        C = connecting_matrix(pf.values,
+                              _default_horizon(args, pf.values.size))
     else:
         pf = _load(args.potential, "potential")
+        T = args.horizon
         if T is None:
             raise ValueError("--horizon is required with --potential")
         if args.via_waves or args.verify:
@@ -122,12 +120,13 @@ def cmd_connect(args):
 
 def cmd_invert(args):
     # only the given boundary data reach KreinConfig, whose defaults
-    # stand for the others
+    # stand for the others, and it checks them before the kernel is read
     boundary = {name: value for name, value in
                 (("alpha", args.alpha), ("beta", args.beta))
                 if value is not None}
     if boundary and args.method != "krein":
         raise ValueError("--alpha and --beta apply only to --method krein")
+    config = KreinConfig(**boundary)
     pf = _load(args.kernel, "kernel")
     T = _default_horizon(args, pf.values.size)
     verdict = characterize_response(pf.values, T, args.tol_det)
@@ -136,7 +135,7 @@ def cmd_invert(args):
               f"{verdict.first_failing_order}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     if args.method == "krein":
-        b = invert_krein(pf.values, T, KreinConfig(**boundary))
+        b = invert_krein(pf.values, T, config)
     elif args.method == "factorization":
         b = invert_factorization(pf.values, T)
     else:

@@ -7,9 +7,9 @@ operator (potential on the diagonal, unit hopping):
 
 posed on n >= 1 with zero initial data u_{n,-1} = u_{n,0} = 0 and a
 boundary control u_{0,t} = f_t injected at the virtual site n = 0.
-Signals propagate one site per step, so u_{n,t} = 0 for n > t and a
-horizon-T simulation never sees sites beyond n = T: truncating the
-half-line at n = T is exact, not an approximation.
+Signals propagate one site per step, so u_{n,t} = 0 for n > t and the
+T steps a control f_0..f_{T-1} drives never see sites beyond n = T:
+truncating the half-line at n = T is exact, not an approximation.
 
 One stepper, _wave_steps, runs this recurrence for every table here
 and in bc_ops, over a stack of potentials and a band of sites behind a
@@ -93,16 +93,16 @@ class GoursatKernel:
         return float(self.table[n, s])
 
 
-def _control(f, T):
-    """Row 0 of a controlled table: the control f_0..f_{T-1}, then 0."""
+def _control(f):
+    """The horizon T = len(f) > 0 and row 0 of a controlled table, f, 0."""
     f = as_float_array(f, "control")
-    if f.size != T:
-        raise ValueError("horizon and control length mismatch")
-    return np.append(f, 0.0)
+    if f.size == 0:
+        raise ValueError("control must be nonempty")
+    return f.size, np.append(f, 0.0)
 
 
-def solve_semi_infinite(b, f, T):
-    """Evolve the controlled half-line lattice for T steps.
+def solve_semi_infinite(b, f):
+    """Evolve the controlled half-line lattice for T = len(f) steps.
 
     Returns a WaveField of shape (T+1, T+1); row 0 holds the control
     padded with a trailing zero so that values[0, t] = f_t for t < T.
@@ -112,9 +112,9 @@ def solve_semi_infinite(b, f, T):
     interval 1..T with its wall at T+1 runs the same recurrence to the
     same bits on rows 0..T, so that is how the table is computed.
     """
-    T = check_horizon(T)
     b = check_potential(b)
-    return WaveField(_table(b, T, T, _control(f, T))[:T + 1])
+    T, control = _control(f)
+    return WaveField(_table(b, T, T, control)[:T + 1])
 
 
 def _wave_steps(b, S, rows, control=None):
@@ -210,35 +210,33 @@ def apply_representation(kernel, f, n, t):
     return float(total)
 
 
-def solve_interval(b, N, f, T):
+def solve_interval(b, N, f):
     """Evolve the finite interval 1..N with a Dirichlet wall at N+1.
 
     Same recurrence and boundary control as the half-line problem but
     with u_{N+1,t} = 0 enforced; returns a WaveField of shape
-    (N+2, T+1), read from _wave_steps with a band of N sites.
-    Requires len(b) >= N.
+    (N+2, T+1), T = len(f), read from _wave_steps with a band of N
+    sites.  Requires len(b) >= N.
     """
     N = check_horizon(N, "interval size")
-    T = check_horizon(T)
-    control = _control(f, T)
+    T, control = _control(f)
     b = check_potential(b, N, "potential too short for interval size")
     return WaveField(_table(b, T, N, control))
 
 
-def interval_fourier_solution(sd, f, T):
+def interval_fourier_solution(sd, f):
     """Interval solution synthesized from spectral data.
 
     v_{n,t} = sum_k c^k_t phi^k_n with coefficients driven by the
     control through the eigenvalue recurrence; concretely c^k is the
     Cauchy product of the control with the Chebyshev sequence at
     lambda_k, weighted by 1/rho_k.  Requires eigenvectors in sd.
-    Returns a WaveField of shape (N+2, T+1) matching solve_interval.
+    Returns a WaveField of shape (N+2, len(f)+1) matching solve_interval.
     """
     sd = check_spectral(sd)
     if sd.eigenvectors is None:
         raise ValueError("spectral data must include eigenvectors")
-    T = check_horizon(T)
-    control = _control(f, T)
+    T, control = _control(f)
     N = sd.size
     v = np.zeros((N + 2, T + 1))
     v[0] = control

@@ -7,7 +7,7 @@ and the pairs (lambda_k, 1/rho_k) form a probability measure (total
 mass one) that determines the potential.  The bridge to boundary data:
 the response kernel of the half-line problem agrees with the spectral
 moment sequence r_s = sum_k T_{s+1}(lambda_k)/rho_k for s <= 2N-1, and
-at s = 2N the Dirichlet wall reflection contributes an extra +1.
+at s = 2N exceeds it by exactly 1, the Dirichlet wall's first echo.
 eigen_decompose takes each rho_k from one twisted factorization, and
 invert_spectral rebuilds b by Lanczos from the weights 1 / rho_k.
 """
@@ -108,8 +108,10 @@ class SpectralData:
         return float(np.sum(1.0 / self.norming))
 
     def distribution(self, x):
-        """The measure's distribution: the weight strictly below x,
-        sum of 1 / rho_k over lambda_k < x."""
+        """The measure's distribution: the weight strictly below the
+        real number x (not NaN), sum of 1 / rho_k over lambda_k < x."""
+        if not is_real(x) or math.isnan(x):
+            raise ValueError("x must be a real number, not NaN")
         return float(np.sum(1.0 / self.norming[self.eigenvalues < x]))
 
 
@@ -191,20 +193,20 @@ def phi_polynomial(b, lam, N):
     return phi
 
 
-def kernel_from_spectral(sd, K, dirichlet_correction=False):
-    """Kernel prefix (r_0, ..., r_K) from spectral data of size N.
+def kernel_from_spectral(sd, K):
+    """Half-line kernel prefix (r_0, ..., r_K), K <= 2N, from spectral
+    data of size N.
 
-    r_s = sum_k T_{s+1}(lambda_k) / rho_k, valid against the half-line
-    response for s <= 2N - 1.  With dirichlet_correction the range
-    extends to s = 2N, where the first wall reflection adds exactly +1.
-    r_0 is pinned to 1 exactly: the computed mass sum equals one up to
-    roundoff for any data produced by an actual operator.
+    The moments sum_k T_{s+1}(lambda_k) / rho_k, the interval's kernel,
+    are r_s for s <= 2N - 1; the wall's first echo takes exactly 1 off
+    the moment at s = 2N, so r_2N adds it back.  r_0 is pinned to 1
+    exactly: the computed mass sum equals one up to roundoff for any
+    data produced by an actual operator.
     """
     sd = check_spectral(sd)
     N = sd.size
-    limit = 2 * N if dirichlet_correction else 2 * N - 1
     K = check_count(K, 0, "kernel order must be nonnegative")
-    if K > limit:
+    if K > 2 * N:
         raise ValueError("kernel order beyond spectral validity range")
     weights = 1.0 / sd.norming
     table = chebyshev_seq(K + 1, sd.eigenvalues)
@@ -214,7 +216,7 @@ def kernel_from_spectral(sd, K, dirichlet_correction=False):
     # products runs one dot each, where table @ weights is one
     # matrix-vector product and may round differently
     r[1:] = (table[2:, None, :] @ weights[:, None])[:, 0, 0]
-    if dirichlet_correction and K == 2 * N:
+    if K == 2 * N:
         r[K] += 1.0
     return r
 

@@ -408,14 +408,14 @@ def plain_chebyshev(t_max, lam):
     return out
 
 
-def plain_kernel_from_spectral(sd, K, dirichlet_correction=False):
+def plain_kernel_from_spectral(sd, K):
     """kernel_from_spectral with one dot weights @ row per entry."""
     weights = 1.0 / sd.norming
     table = plain_chebyshev(K + 1, sd.eigenvalues)
     r = np.empty(K + 1)
     r[0] = 1.0
     r[1:] = [weights @ row for row in table[2:]]
-    if dirichlet_correction and K == 2 * sd.size:
+    if K == 2 * sd.size:
         r[K] += 1.0
     return r
 

@@ -48,7 +48,7 @@ def test_criterion_1_representation_identity(capsys):
     for _ in range(200):
         b = rng.uniform(-1.0, 1.0, T)
         f = rng.uniform(-1.0, 1.0, T)
-        fld = solve_semi_infinite(b, f, T)
+        fld = solve_semi_infinite(b, f)
         ker = solve_goursat(b, T)
         for n in range(1, T + 1):
             for t in range(T + 1):
@@ -178,7 +178,7 @@ def test_criterion_5_spectral_consistency(capsys):
 
         f = np.zeros(3 * N)
         f[0] = 1.0
-        trace = solve_interval(b, N, f, 3 * N).values[1, 1:]
+        trace = solve_interval(b, N, f).values[1, 1:]
         series = np.zeros(3 * N + 1)
         for k in range(N):
             series += (chebyshev_seq(3 * N, sd.eigenvalues[k])
@@ -189,7 +189,7 @@ def test_criterion_5_spectral_consistency(capsys):
         wb = max(wb, float(np.max(np.abs(
             connecting_from_spectral(sd, Tc) - connecting_matrix(r, Tc)))))
 
-        cor = kernel_from_spectral(sd, 2 * N, dirichlet_correction=True)
+        cor = kernel_from_spectral(sd, 2 * N)
         wc = max(wc, float(np.max(np.abs(cor[:2 * N] - r[:2 * N]))),
                  abs(r[2 * N] - (cor[2 * N] - 1.0) - 1.0))
 

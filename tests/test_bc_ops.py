@@ -60,7 +60,7 @@ class TestResponseKernel:
         b = rng.uniform(-2, 2, 8)
         K = 9
         r = response_kernel(b, K)
-        fld = solve_semi_infinite(b, delta(K + 1), K + 1)
+        fld = solve_semi_infinite(b, delta(K + 1))
         probe = fld.values[1, 1:K + 2]
         assert np.allclose(r, probe, atol=1e-10 * max(1, np.abs(r).max()))
 
@@ -129,7 +129,7 @@ class TestApplyResponse:
         b = rng.uniform(-1, 1, 6)
         f = rng.uniform(-1, 1, 6)
         r = response_kernel(b, 5)
-        fld = solve_semi_infinite(b, f, 6)
+        fld = solve_semi_infinite(b, f)
         assert np.allclose(apply_response(r, f), fld.values[1, 1:],
                            atol=1e-12)
 
@@ -182,7 +182,7 @@ class TestControlMatrix:
         b = rng.uniform(-1, 1, T - 1)
         W = control_matrix(b, T)
         f = rng.uniform(-1, 1, T)
-        fld = solve_semi_infinite(b, f, T)
+        fld = solve_semi_infinite(b, f)
         assert np.allclose(W @ f, fld.values[1:T + 1, T], atol=1e-11)
 
     def test_basis_columns_match_probes(self):
@@ -193,7 +193,7 @@ class TestControlMatrix:
         for i in range(T):
             f = np.zeros(T)
             f[i] = 1.0
-            fld = solve_semi_infinite(b, f, T)
+            fld = solve_semi_infinite(b, f)
             assert np.allclose(W[:, i], fld.values[1:T + 1, T], atol=1e-11)
 
     def test_unit_triangular_after_reversal(self):

@@ -240,6 +240,18 @@ class TestInvert:
         config = solver.call_args.args[2]
         assert np.signbit(config.alpha) and config.beta == 1.0
 
+    @pytest.mark.parametrize("values", [[1.0, -0.3, 0.1, 0.2],
+                                        [1.0, -1.0, 1.0]],
+                             ids=["inadmissible", "admissible"])
+    def test_vanishing_boundary_data_exit_2_whatever_the_kernel(
+            self, tmp_path, values):
+        # the Krein datum is checked before the kernel's verdict
+        ker = write_doc(tmp_path / "k.json", "kernel", values)
+        proc = run_in_subprocess("invert", "--kernel", ker, "--method",
+                                 "krein", "--alpha", "0", "--beta", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: alpha and beta must not both vanish\n")
+
     def test_default_horizon_is_max_covered(self, tmp_path, capsys):
         b = np.array([0.3, -0.2, 0.5])
         r = response_kernel(b, 6)  # covers horizon 4

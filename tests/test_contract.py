@@ -6,9 +6,7 @@ and then with each array, count, real and data-object argument in turn
 replaced by values that are none of these.  Each such call must raise
 ValueError, never numpy's TypeError or an AttributeError or IndexError
 from reading the value, and the valid call must give the same bytes
-after the rejected calls as before them.  Flags such as
-dirichlet_correction are not arguments of this kind and keep their
-truthiness.
+after the rejected calls as before them.
 """
 
 import dataclasses
@@ -53,12 +51,12 @@ CASES = [
     ("apply_representation", lattice_bc.apply_representation,
      (KERNEL, F, 1, 2), ("data", "array", "count", "count")),
     ("interval_fourier_solution", lattice_bc.interval_fourier_solution,
-     (SD, F, 2), ("data", "array", "count")),
+     (SD, F), ("data", "array")),
     ("solve_goursat", lattice_bc.solve_goursat, (B, 2), ("array", "count")),
-    ("solve_interval", lattice_bc.solve_interval, (B, 2, F, 2),
-     ("array", "count", "array", "count")),
-    ("solve_semi_infinite", lattice_bc.solve_semi_infinite, (B, F, 2),
-     ("array", "array", "count")),
+    ("solve_interval", lattice_bc.solve_interval, (B, 2, F),
+     ("array", "count", "array")),
+    ("solve_semi_infinite", lattice_bc.solve_semi_infinite, (B, F),
+     ("array", "array")),
     ("apply_response", lattice_bc.apply_response, (R, F),
      ("array", "array")),
     ("apply_response_adjoint", lattice_bc.apply_response_adjoint, (R, F),
@@ -85,6 +83,7 @@ CASES = [
     ("Hamiltonian", Hamiltonian, ([0.5],), ("array",)),
     ("SpectralData", SpectralData, ([0.5], [1.0], [[1.0]]),
      ("array", "array", "optional table")),
+    ("SpectralData.distribution", SD.distribution, (0.5,), ("real",)),
     ("build_hamiltonian", lattice_bc.build_hamiltonian, (B, 2),
      ("array", "count")),
     ("eigen_decompose", lattice_bc.eigen_decompose, (Hamiltonian([0.5]),),
@@ -92,8 +91,8 @@ CASES = [
     ("connecting_from_spectral", lattice_bc.connecting_from_spectral,
      (SD, 1), ("data", "count")),
     ("invert_spectral", lattice_bc.invert_spectral, (SD,), ("data",)),
-    ("kernel_from_spectral", lattice_bc.kernel_from_spectral,
-     (SD, 1, False), ("data", "count", None)),
+    ("kernel_from_spectral", lattice_bc.kernel_from_spectral, (SD, 1),
+     ("data", "count")),
     ("phi_polynomial", lattice_bc.phi_polynomial, (B, 0.5, 2),
      ("array", "real", "count")),
     # the seed is a count too: numpy's generator would take None as a

@@ -26,7 +26,7 @@ def delta(T):
 class TestSemiInfinite:
     def test_free_delta_is_moving_spike(self):
         T = 8
-        fld = solve_semi_infinite(np.zeros(T), delta(T), T)
+        fld = solve_semi_infinite(np.zeros(T), delta(T))
         expect = np.zeros((T + 1, T + 1))
         expect[0, 0] = 1.0
         for n in range(1, T + 1):
@@ -34,7 +34,7 @@ class TestSemiInfinite:
         assert np.array_equal(fld.values, expect)
 
     def test_single_site_hand_values(self):
-        fld = solve_semi_infinite([1.0], delta(3), 3)
+        fld = solve_semi_infinite([1.0], delta(3))
         assert fld.values[1, 1] == 1.0
         assert fld.values[1, 2] == -1.0
         assert fld.values[2, 2] == 1.0
@@ -44,7 +44,7 @@ class TestSemiInfinite:
         rng = np.random.default_rng(2)
         b = rng.uniform(-2, 2, 6)
         f = rng.uniform(-1, 1, 6)
-        fld = solve_semi_infinite(b, f, 6)
+        fld = solve_semi_infinite(b, f)
         for n in range(1, 7):
             assert fld.values[n, n] == f[0]
 
@@ -52,7 +52,7 @@ class TestSemiInfinite:
         rng = np.random.default_rng(3)
         b = rng.uniform(-2, 2, 7)
         f = rng.uniform(-1, 1, 7)
-        fld = solve_semi_infinite(b, f, 7)
+        fld = solve_semi_infinite(b, f)
         for n in range(1, 8):
             for t in range(n):
                 assert fld.values[n, t] == 0.0
@@ -63,7 +63,7 @@ class TestSemiInfinite:
             T = int(rng.integers(1, 10))
             b = rng.uniform(-2, 2, T)
             f = rng.uniform(-1, 1, T)
-            fld = solve_semi_infinite(b, f, T)
+            fld = solve_semi_infinite(b, f)
             oracle = helpers.wave_oracle(b, f, T)
             # the same operations in the same order: equal bytes, zero
             # signs included
@@ -72,26 +72,32 @@ class TestSemiInfinite:
     def test_short_potential_is_free_tail(self):
         # padding b with zeros is the defining semantics
         f = np.arange(1.0, 6.0)
-        full = solve_semi_infinite([0.5, -0.25, 0.0, 0.0, 0.0], f, 5)
-        short = solve_semi_infinite([0.5, -0.25], f, 5)
+        full = solve_semi_infinite([0.5, -0.25, 0.0, 0.0, 0.0], f)
+        short = solve_semi_infinite([0.5, -0.25], f)
         assert np.array_equal(full.values, short.values)
 
-    def test_control_length_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_semi_infinite([0.0], [1.0, 0.0], 3)
+    def test_empty_control_rejected(self):
+        # the horizon is the control's length, so no control no horizon
+        sd = eigen_decompose(build_hamiltonian([0.5], 1))
+        for solve in (lambda f: solve_semi_infinite([0.5], f),
+                      lambda f: solve_interval([0.5], 1, f),
+                      lambda f: interval_fourier_solution(sd, f)):
+            with pytest.raises(ValueError, match="control must be nonempty"):
+                solve([])
+            assert solve([1.0]).t_max == 1
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         b = rng.uniform(-2, 2, 6)
         f = rng.uniform(-1, 1, 6)
         g = rng.uniform(-1, 1, 6)
-        lhs = solve_semi_infinite(b, f + g, 6).values
-        rhs = (solve_semi_infinite(b, f, 6).values
-               + solve_semi_infinite(b, g, 6).values)
+        lhs = solve_semi_infinite(b, f + g).values
+        rhs = (solve_semi_infinite(b, f).values
+               + solve_semi_infinite(b, g).values)
         assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_boundary_trace(self):
-        fld = solve_semi_infinite([1.0], delta(3), 3)
+        fld = solve_semi_infinite([1.0], delta(3))
         assert np.array_equal(fld.boundary_trace(), [1.0, -1.0, 1.0])
 
 
@@ -237,7 +243,7 @@ class TestRepresentation:
         for amp, T in ((1.0, 16), (0.5, 32)):
             b = rng.uniform(-amp, amp, T)
             f = rng.uniform(-1, 1, T)
-            fld = solve_semi_infinite(b, f, T)
+            fld = solve_semi_infinite(b, f)
             w = solve_goursat(b, max(T - 1, 1))
             worst = 0.0
             for n in range(1, T + 1):
@@ -264,19 +270,19 @@ class TestRepresentation:
 class TestInterval:
     def test_single_site_hand_values(self):
         b1 = 0.7
-        fld = solve_interval([b1], 1, delta(3), 3)
+        fld = solve_interval([b1], 1, delta(3))
         assert fld.values[1, 1] == 1.0
         assert fld.values[1, 2] == -b1
         assert fld.values[1, 3] == b1 * b1 - 1.0
 
     def test_free_two_site_reflection(self):
-        fld = solve_interval(np.zeros(2), 2, delta(5), 5)
+        fld = solve_interval(np.zeros(2), 2, delta(5))
         assert fld.values[1, 5] == -1.0  # first wall reflection arrives
 
     def test_wall_row_is_zero(self):
         rng = np.random.default_rng(8)
         fld = solve_interval(rng.uniform(-1, 1, 3), 3,
-                             rng.uniform(-1, 1, 9), 9)
+                             rng.uniform(-1, 1, 9))
         assert np.array_equal(fld.values[4], np.zeros(10))
 
     def test_agrees_with_half_line_inside_light_cone(self):
@@ -289,8 +295,8 @@ class TestInterval:
             T = 3 * N
             b = rng.uniform(-1.5, 1.5, N + T)
             f = rng.uniform(-1, 1, T)
-            half = solve_semi_infinite(b, f, T)
-            box = solve_interval(b, N, f, T)
+            half = solve_semi_infinite(b, f)
+            box = solve_interval(b, N, f)
             for n in range(1, N + 1):
                 for t in range(min(2 * N + 2 - n, T + 1)):
                     assert box.values[n, t] == pytest.approx(
@@ -303,8 +309,8 @@ class TestInterval:
         b = rng.uniform(-1.5, 1.5, N + T)
         f = rng.uniform(-1, 1, T)
         f[0] = 0.37
-        half = solve_semi_infinite(b, f, T)
-        box = solve_interval(b, N, f, T)
+        half = solve_semi_infinite(b, f)
+        box = solve_interval(b, N, f)
         diff = half.values[1, 2 * N + 1] - box.values[1, 2 * N + 1]
         assert diff == pytest.approx(f[0], abs=1e-12)
 
@@ -315,25 +321,25 @@ class TestInterval:
             T = int(rng.integers(1, 12))
             b = rng.uniform(-2, 2, N)
             f = rng.uniform(-1, 1, T)
-            fld = solve_interval(b, N, f, T)
+            fld = solve_interval(b, N, f)
             oracle = helpers.wave_oracle(b, f, T, wall=N)
             assert fld.values.tobytes() == oracle.tobytes()
 
     def test_short_potential_rejected(self):
         with pytest.raises(ValueError):
-            solve_interval([1.0], 2, [1.0], 1)
+            solve_interval([1.0], 2, [1.0])
 
 
 class TestIntervalFourier:
     def test_zero_control_zero_field(self):
         sd = eigen_decompose(build_hamiltonian([0.5, -0.5], 2))
-        fld = interval_fourier_solution(sd, np.zeros(4), 4)
+        fld = interval_fourier_solution(sd, np.zeros(4))
         assert np.array_equal(fld.values, np.zeros((4, 5)))
 
     def test_single_site_chebyshev(self):
         c = 0.8
         sd = eigen_decompose(build_hamiltonian([c], 1))
-        fld = interval_fourier_solution(sd, delta(3), 3)
+        fld = interval_fourier_solution(sd, delta(3))
         assert fld.values[1, 1] == pytest.approx(1.0, abs=1e-12)
         assert fld.values[1, 2] == pytest.approx(-c, abs=1e-12)
         assert fld.values[1, 3] == pytest.approx(c * c - 1.0, abs=1e-12)
@@ -346,8 +352,8 @@ class TestIntervalFourier:
             b = rng.uniform(-1, 1, N)
             f = rng.uniform(-1, 1, T)
             sd = eigen_decompose(build_hamiltonian(b, N))
-            fourier = interval_fourier_solution(sd, f, T)
-            direct = solve_interval(b, N, f, T)
+            fourier = interval_fourier_solution(sd, f)
+            direct = solve_interval(b, N, f)
             assert np.allclose(fourier.values, direct.values, atol=1e-9)
 
     def test_coefficient_recurrence(self):
@@ -369,4 +375,4 @@ class TestIntervalFourier:
         from lattice_bc.spectral import SpectralData
         sd = SpectralData(eigenvalues=[-1.0, 1.0], norming=[2.0, 2.0])
         with pytest.raises(ValueError):
-            interval_fourier_solution(sd, [1.0], 1)
+            interval_fourier_solution(sd, [1.0])

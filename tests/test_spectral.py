@@ -322,7 +322,7 @@ class TestKernelFromSpectral:
         # to the half-line kernel value c^2
         c = 0.9
         sd = eigen_decompose(build_hamiltonian([c], 1))
-        r = kernel_from_spectral(sd, 2, dirichlet_correction=True)
+        r = kernel_from_spectral(sd, 2)
         assert np.allclose(r, [1.0, -c, c * c], atol=1e-12)
         semi = response_kernel([c, 0.0], 2)
         assert np.allclose(r, semi, atol=1e-12)
@@ -337,8 +337,7 @@ class TestKernelFromSpectral:
             r_spec = kernel_from_spectral(sd, 2 * N - 1)
             r_semi = response_kernel(b, 2 * N)
             assert np.max(np.abs(r_spec - r_semi[:2 * N])) <= 1e-9
-            corrected = kernel_from_spectral(sd, 2 * N,
-                                             dirichlet_correction=True)
+            corrected = kernel_from_spectral(sd, 2 * N)
             raw_tail = corrected[2 * N] - 1.0
             assert r_semi[2 * N] - raw_tail == pytest.approx(1.0, abs=1e-9)
 
@@ -350,21 +349,22 @@ class TestKernelFromSpectral:
         assert len(data) >= 30
         for name, sd in data:
             N = sd.size
-            for K, wall in ((0, False), (1, False), (2 * N - 1, False),
-                            (2 * N, True)):
+            for K in (0, 1, 2 * N - 1, 2 * N):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = kernel_from_spectral(sd, K, wall)
-                    want = helpers.plain_kernel_from_spectral(sd, K, wall)
+                    got = kernel_from_spectral(sd, K)
+                    want = helpers.plain_kernel_from_spectral(sd, K)
                 assert helpers.same_bits(got, want), (name, K)
 
     def test_range_validation(self):
-        sd = eigen_decompose(build_hamiltonian([0.5, 0.5], 2))
+        # order 2N carries the wall echo; beyond it later echoes would
+        # be needed
+        b = [0.5, 0.5]
+        sd = eigen_decompose(build_hamiltonian(b, 2))
         kernel_from_spectral(sd, 3)
+        r = kernel_from_spectral(sd, 4)
+        assert r[4] == pytest.approx(response_kernel(b, 4)[4], abs=1e-9)
         with pytest.raises(ValueError):
-            kernel_from_spectral(sd, 4)
-        kernel_from_spectral(sd, 4, dirichlet_correction=True)
-        with pytest.raises(ValueError):
-            kernel_from_spectral(sd, 5, dirichlet_correction=True)
+            kernel_from_spectral(sd, 5)
         with pytest.raises(ValueError):
             kernel_from_spectral(sd, -1)
 
@@ -421,6 +421,20 @@ class TestSpectralMeasure:
         assert sd.distribution(-2.0) == 0.0
         assert sd.distribution(0.0) == pytest.approx(0.5, abs=1e-10)
         assert sd.distribution(2.0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_distribution_reads_one_real_point(self):
+        # a list used to be compared entrywise and summed over both
+        # points, and NaN, below nothing, used to give 0
+        sd = SpectralData(eigenvalues=[0.5, 1.0], norming=[2.0, 2.0])
+        for x in ([0.7, 2.0], [0.7], np.array([0.7]), np.nan):
+            with pytest.raises(ValueError):
+                sd.distribution(x)
+        assert sd.distribution(-np.inf) == 0.0
+        assert sd.distribution(np.inf) == sd.total_mass == 1.0
+        assert sd.distribution(np.float64(0.7)) == 0.5
+        # an int within the float range is a real number, which numpy's
+        # isnan would refuse
+        assert sd.distribution(10 ** 300) == 1.0
 
     def test_validation(self):
         # decreasing eigenvalues, and a zero weight 1 / rho
@@ -494,6 +508,6 @@ class TestInvertSpectral:
         T = 3 * N
         b = rng.uniform(-0.25, 0.25, N)
         sd = eigen_decompose(build_hamiltonian(b, N))
-        fourier = interval_fourier_solution(sd, delta(T), T)
-        direct = solve_interval(b, N, delta(T), T)
+        fourier = interval_fourier_solution(sd, delta(T))
+        direct = solve_interval(b, N, delta(T))
         assert np.max(np.abs(fourier.values - direct.values)) <= 1e-9
