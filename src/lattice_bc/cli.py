@@ -46,14 +46,6 @@ _METHODS = ("factorization", "gelfand-levitan", "krein")
 _BLOCK = 64
 
 
-def _load(path, kind):
-    pf = files.load_problem(path)
-    if pf.kind != kind:
-        raise ValueError(
-            f"{kind} file has kind {pf.kind!r}, expected one of {(kind,)}")
-    return pf
-
-
 def _default_horizon(args, kernel_length):
     if args.horizon is not None:
         return args.horizon
@@ -65,13 +57,12 @@ def _emit_json(doc, args):
 
 
 def cmd_forward(args):
-    control = _load(args.control, "control")
-    potential = _load(args.potential, "potential")
-    f = control.values
+    f = files.load_problem(args.control, "control")
+    b = files.load_problem(args.potential, "potential")
     if args.interval_n is not None:
-        fld = solve_interval(potential.values, args.interval_n, f)
+        fld = solve_interval(b, args.interval_n, f)
     else:
-        fld = solve_semi_infinite(potential.values, f)
+        fld = solve_semi_infinite(b, f)
     csv = files.field_csv(fld.values)
     files.write_text(csv, args.output)
     trace = fld.boundary_trace()
@@ -82,8 +73,8 @@ def cmd_forward(args):
 
 
 def cmd_response(args):
-    potential = _load(args.potential, "potential")
-    r = response_kernel(potential.values, args.order)
+    b = files.load_problem(args.potential, "potential")
+    r = response_kernel(b, args.order)
     doc = files.problem_document("kernel", r, {"order": args.order})
     _emit_json(doc, args)
     return EXIT_OK
@@ -96,18 +87,17 @@ def cmd_connect(args):
         if args.via_waves or args.verify:
             raise ValueError(
                 "--via-waves/--verify need a potential input")
-        pf = _load(args.kernel, "kernel")
-        C = connecting_matrix(pf.values,
-                              _default_horizon(args, pf.values.size))
+        r = files.load_problem(args.kernel, "kernel")
+        C = connecting_matrix(r, _default_horizon(args, r.size))
     else:
-        pf = _load(args.potential, "potential")
+        b = files.load_problem(args.potential, "potential")
         T = args.horizon
         if T is None:
             raise ValueError("--horizon is required with --potential")
         if args.via_waves or args.verify:
-            waves = connecting_via_waves(pf.values, T)
+            waves = connecting_via_waves(b, T)
         if not args.via_waves or args.verify:
-            r = response_kernel(pf.values, 2 * T - 2)
+            r = response_kernel(b, 2 * T - 2)
             kernel_route = connecting_matrix(r, T)
         C = waves if args.via_waves else kernel_route
         if args.verify:
@@ -127,19 +117,19 @@ def cmd_invert(args):
     if boundary and args.method != "krein":
         raise ValueError("--alpha and --beta apply only to --method krein")
     config = KreinConfig(**boundary)
-    pf = _load(args.kernel, "kernel")
-    T = _default_horizon(args, pf.values.size)
-    verdict = characterize_response(pf.values, T, args.tol_det)
+    r = files.load_problem(args.kernel, "kernel")
+    T = _default_horizon(args, r.size)
+    verdict = characterize_response(r, T, args.tol_det)
     if not verdict.admissible:
         print(f"error: kernel inadmissible at order "
               f"{verdict.first_failing_order}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     if args.method == "krein":
-        b = invert_krein(pf.values, T, config)
+        b = invert_krein(r, T, config)
     elif args.method == "factorization":
-        b = invert_factorization(pf.values, T)
+        b = invert_factorization(r, T)
     else:
-        b = invert_gelfand_levitan(pf.values, T)
+        b = invert_gelfand_levitan(r, T)
     doc = files.problem_document(
         "potential", b, {"method": args.method, "horizon": T})
     _emit_json(doc, args)
@@ -147,9 +137,9 @@ def cmd_invert(args):
 
 
 def cmd_characterize(args):
-    pf = _load(args.kernel, "kernel")
-    T = _default_horizon(args, pf.values.size)
-    verdict = characterize_response(pf.values, T, args.tol_det)
+    r = files.load_problem(args.kernel, "kernel")
+    T = _default_horizon(args, r.size)
+    verdict = characterize_response(r, T, args.tol_det)
     doc = {
         "kind": "characterization",
         "admissible": verdict.admissible,
@@ -163,17 +153,16 @@ def cmd_characterize(args):
 
 
 def cmd_spectral(args):
-    pf = _load(args.potential, "potential")
-    N = args.size if args.size is not None else pf.values.size
-    H = build_hamiltonian(pf.values, N)
+    b = files.load_problem(args.potential, "potential")
+    N = args.size if args.size is not None else b.size
+    H = build_hamiltonian(b, N)
     sd = eigen_decompose(H)
     _emit_json(files.spectral_problem(sd), args)
     return EXIT_OK
 
 
 def cmd_spectral_invert(args):
-    pf = _load(args.spectral, "spectral")
-    sd = files.spectral_from_problem(pf)
+    sd = files.load_problem(args.spectral, "spectral")
     b = invert_spectral(sd)
     doc = files.problem_document(
         "potential", b, {"method": "spectral", "size": sd.size})

@@ -14,6 +14,7 @@ numpy's TypeError, which float_array turns into one.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -95,7 +96,7 @@ def check_det_tol(det_tol):
     real number (is_real), finite, nonnegative and below 1, so that
     passing the test also means positive definite; raise ValueError
     otherwise."""
-    if not is_real(det_tol) or not np.isfinite(det_tol) or det_tol < 0.0:
+    if not is_real(det_tol) or not math.isfinite(det_tol) or det_tol < 0.0:
         raise ValueError("det_tol must be finite and nonnegative")
     if det_tol >= 1.0:
         raise ValueError("det_tol must be below 1, so that unit minors "

@@ -5,8 +5,10 @@ with kind one of "potential", "control", "kernel", "spectral".  Vector
 kinds store a flat list of numbers; spectral files store pairs
 [lambda_k, rho_k].  Floats are emitted with 17 significant digits so
 every double round-trips exactly and identical runs produce identical
-bytes.  On load the payload is validated against the invariants of the
-corresponding domain type.
+bytes.  A file loads as its value, checked against the invariants of
+its domain type and then against the kind the caller expects: a 1-D
+float array for potential, control and kernel files, SpectralData for
+spectral files.  meta must be an object and is not read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,15 +28,6 @@ KINDS = ("potential", "control", "kernel", "spectral")
 # slack for the unit-mass invariant of spectral files; file data is
 # trusted only up to serialization noise, not recomputed
 MASS_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ProblemFile:
-    """Parsed problem document: kind tag, payload array, metadata."""
-
-    kind: str
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def _format_float(x):
@@ -93,12 +85,12 @@ def _validate_payload(kind, values):
         arr = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("spectral values contain non-finite entries")
-        mass = SpectralData(eigenvalues=arr[:, 0],
-                            norming=arr[:, 1]).total_mass
+        sd = SpectralData(eigenvalues=arr[:, 0], norming=arr[:, 1])
+        mass = sd.total_mass
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(
                 f"spectral weights must have unit mass (got {mass!r})")
-        return arr
+        return sd
     if not (isinstance(values, list) and all(map(is_real, values))):
         raise ValueError(f"{kind} values must be a list of numbers")
     arr = as_float_array(values, f"{kind} values")
@@ -109,7 +101,9 @@ def _validate_payload(kind, values):
     return arr
 
 
-def parse_problem(text):
+def parse_problem(text, kind):
+    """The value of a problem document of the given kind.  Its own
+    kind and payload are checked first, the expected kind last."""
     try:
         doc = json.loads(text)
     # the decoder recurses once per nesting level
@@ -117,24 +111,26 @@ def parse_problem(text):
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in KINDS:
+    found = doc.get("kind")
+    if found not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if "values" not in doc:
         raise ValueError("problem document missing values")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
+    if not isinstance(doc.get("meta", {}), dict):
         raise ValueError("meta must be an object")
-    values = _validate_payload(kind, doc["values"])
-    return ProblemFile(kind=kind, values=values, meta=meta)
+    value = _validate_payload(found, doc["values"])
+    if found != kind:
+        raise ValueError(
+            f"{kind} file has kind {found!r}, expected one of {(kind,)}")
+    return value
 
 
-def load_problem(path):
-    """Read a problem document from a path, or stdin when path is '-'."""
+def load_problem(path, kind):
+    """parse_problem of a path, or of stdin when path is '-'."""
     if path == "-":
-        return parse_problem(sys.stdin.read())
+        return parse_problem(sys.stdin.read(), kind)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        return parse_problem(fh.read(), kind)
 
 
 def problem_document(kind, values, meta=None):
@@ -149,12 +145,6 @@ def spectral_problem(sd):
     pairs = [[float(l), float(r)]
              for l, r in zip(sd.eigenvalues, sd.norming)]
     return problem_document("spectral", pairs, {"size": sd.size})
-
-
-def spectral_from_problem(pf):
-    if pf.kind != "spectral":
-        raise ValueError("problem document is not spectral data")
-    return SpectralData(eigenvalues=pf.values[:, 0], norming=pf.values[:, 1])
 
 
 def write_text(text, path=None):

@@ -48,6 +48,7 @@ bits and borderline outcomes can differ there.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,7 +116,7 @@ class KreinConfig:
 
     def __post_init__(self):
         if not (is_real(self.alpha) and is_real(self.beta)
-                and np.isfinite(self.alpha) and np.isfinite(self.beta)):
+                and math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("alpha and beta must not both vanish")

@@ -183,8 +183,8 @@ def phi_polynomial(b, lam, N):
     """
     N = check_horizon(N, "size")
     b = check_potential(b, N, "potential too short for requested size")
-    if not is_real(lam):
-        raise ValueError("lam must be a real number")
+    if not is_real(lam) or not math.isfinite(lam):
+        raise ValueError("lam must be a finite real number")
     phi = np.zeros(N + 2)
     phi[0] = 0.0
     phi[1] = 1.0

@@ -383,6 +383,14 @@ class TestSpectral:
             2, "", "error: spectral data give Lanczos couplings far from 1: "
                    "not the data of a unit-coupled Jacobi matrix\n")
 
+    @pytest.mark.parametrize("meta", ["[]", "1"])
+    def test_non_object_meta_on_stdin_exits_2(self, capsys, meta):
+        text = ('{"kind": "spectral", "values": [[-1.0, 2.0], [1.0, 2.0]], '
+                f'"meta": {meta}}}')
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            assert main(["spectral-invert", "--spectral", "-"]) == 2
+        assert capsys.readouterr() == ("", "error: meta must be an object\n")
+
     def test_bad_mass_rejected(self, tmp_path, capsys):
         sfile = tmp_path / "s.json"
         files.write_text(files.dumps_json(

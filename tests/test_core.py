@@ -180,6 +180,9 @@ class TestValidation:
             with pytest.raises(ValueError,
                                match="det_tol must be finite and nonnegative"):
                 check_det_tol(det_tol)
+        # an int beyond int64 is a real number (is_real), and too large
+        with pytest.raises(ValueError, match="det_tol must be below 1"):
+            check_det_tol(2**64)
 
     def test_tolerances_defaults(self):
         # one constant per tolerance: det_tol's default, read by both

@@ -1,6 +1,8 @@
 """Problem-file serialization: exact float round-trips, validation."""
 
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,39 +43,41 @@ class TestParsing:
         path = tmp_path / "pot.json"
         doc = files.problem_document("potential", [0.5, -1.5], {"note": "x"})
         files.write_text(files.dumps_json(doc), str(path))
-        pf = files.load_problem(str(path))
-        assert pf.kind == "potential"
-        assert np.array_equal(pf.values, [0.5, -1.5])
-        assert pf.meta == {"note": "x"}
+        values = files.load_problem(str(path), "potential")
+        assert np.array_equal(values, [0.5, -1.5])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            files.parse_problem('{"kind": "mystery", "values": [1]}')
+            files.parse_problem('{"kind": "mystery", "values": [1]}',
+                                "potential")
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
-            files.parse_problem("{nope")
+            files.parse_problem("{nope", "potential")
 
     @pytest.mark.parametrize("depth", [1000, 100_000])
     def test_deeply_nested_json_rejected(self, depth):
         text = ('{"kind": "kernel", "values": ' + "[" * depth + "]" * depth
                 + "}")
         with pytest.raises(ValueError):
-            files.parse_problem(text)
+            files.parse_problem(text, "kernel")
 
     def test_kernel_head_validated(self):
         with pytest.raises(ValueError):
             files.parse_problem(
-                '{"kind": "kernel", "values": [0.5, 1.0], "meta": {}}')
+                '{"kind": "kernel", "values": [0.5, 1.0], "meta": {}}',
+                "kernel")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             files.parse_problem(
-                '{"kind": "control", "values": [1.0, "NaN"], "meta": {}}')
+                '{"kind": "control", "values": [1.0, "NaN"], "meta": {}}',
+                "control")
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            files.parse_problem('{"kind": "potential", "values": []}')
+            files.parse_problem('{"kind": "potential", "values": []}',
+                                "potential")
 
     @pytest.mark.parametrize("kind, values", [
         ("potential", '[{"a": 1}, 2]'),
@@ -95,42 +99,85 @@ class TestParsing:
         # only JSON numbers, in the shape the kind requires: no strings,
         # booleans, null, objects, extra nesting or out-of-range integers
         with pytest.raises(ValueError):
-            files.parse_problem(f'{{"kind": "{kind}", "values": {values}}}')
+            files.parse_problem(f'{{"kind": "{kind}", "values": {values}}}',
+                                kind)
 
     def test_integers_are_numbers(self):
-        pf = files.parse_problem('{"kind": "kernel", "values": [1, -2, 0.5]}')
-        assert np.array_equal(pf.values, [1.0, -2.0, 0.5])
-        pf = files.parse_problem(
-            '{"kind": "spectral", "values": [[-1, 2], [1, 2.0]]}')
-        assert np.array_equal(pf.values, [[-1.0, 2.0], [1.0, 2.0]])
+        values = files.parse_problem(
+            '{"kind": "kernel", "values": [1, -2, 0.5]}', "kernel")
+        assert np.array_equal(values, [1.0, -2.0, 0.5])
+        sd = files.parse_problem(
+            '{"kind": "spectral", "values": [[-1, 2], [1, 2.0]]}', "spectral")
+        assert np.array_equal(sd.eigenvalues, [-1.0, 1.0])
+        assert np.array_equal(sd.norming, [2.0, 2.0])
+
+    # one valid payload per kind, so that only the kind can be at fault
+    VALID = {"potential": "[0.5, -1.5]", "control": "[1.0, 0.0]",
+             "kernel": "[1.0, 0.25, 0.5]",
+             "spectral": "[[-1.0, 2.0], [1.0, 2.0]]"}
+
+    @pytest.mark.parametrize("declared, expected",
+                             list(itertools.permutations(files.KINDS, 2)))
+    def test_kind_mismatch_rejected(self, declared, expected):
+        text = (f'{{"kind": "{declared}", '
+                f'"values": {self.VALID[declared]}}}')
+        message = (f"{expected} file has kind {declared!r}, "
+                   f"expected one of {(expected,)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            files.parse_problem(text, expected)
+
+    @pytest.mark.parametrize("meta", ["[]", "1"])
+    def test_meta_must_be_an_object(self, meta):
+        text = ('{"kind": "spectral", "values": [[-1.0, 2.0], [1.0, 2.0]], '
+                f'"meta": {meta}}}')
+        with pytest.raises(ValueError, match="^meta must be an object$"):
+            files.parse_problem(text, "spectral")
 
 
 class TestSpectralFiles:
     def test_round_trip(self):
         sd = SpectralData(eigenvalues=[-1.25, 0.5], norming=[1.6, 8.0 / 3.0])
         doc = files.spectral_problem(sd)
-        pf = files.parse_problem(files.dumps_json(doc))
-        back = files.spectral_from_problem(pf)
+        back = files.parse_problem(files.dumps_json(doc), "spectral")
         assert np.array_equal(back.eigenvalues, sd.eigenvalues)
         assert np.array_equal(back.norming, sd.norming)
+
+    @pytest.mark.parametrize("pairs", [
+        # doubles that need all 17 digits
+        [[-1.0 / 3.0, 3.0000000000000004], [0.1, 2.9999999999999996],
+         [2.0 ** 0.5, 3.0], [1e300, 1e17]],
+        pytest.param(
+            [[-1.0, 2.0], [-0.0, 4.0], [1.0, 4.0]],
+            marks=pytest.mark.xfail(
+                strict=True, reason="-0.0 is written as -0, which JSON "
+                                    "reads as the integer 0")),
+    ], ids=["seventeen-digits", "negative-zero"])
+    def test_loaded_pairs_are_the_written_bits(self, tmp_path, pairs):
+        path = tmp_path / "s.json"
+        doc = files.problem_document("spectral", pairs)
+        files.write_text(files.dumps_json(doc), str(path))
+        sd = files.load_problem(str(path), "spectral")
+        written = np.array(pairs)
+        assert sd.eigenvalues.tobytes() == written[:, 0].tobytes()
+        assert sd.norming.tobytes() == written[:, 1].tobytes()
 
     def test_mass_validated(self):
         text = ('{"kind": "spectral", "values": [[-1.0, 2.0], [1.0, 3.0]], '
                 '"meta": {}}')
         with pytest.raises(ValueError):
-            files.parse_problem(text)
+            files.parse_problem(text, "spectral")
 
     def test_ordering_validated(self):
         text = ('{"kind": "spectral", "values": [[1.0, 2.0], [-1.0, 2.0]], '
                 '"meta": {}}')
         with pytest.raises(ValueError):
-            files.parse_problem(text)
+            files.parse_problem(text, "spectral")
 
     def test_positivity_validated(self):
         text = ('{"kind": "spectral", "values": [[-1.0, -2.0], [1.0, 2.0]], '
                 '"meta": {}}')
         with pytest.raises(ValueError):
-            files.parse_problem(text)
+            files.parse_problem(text, "spectral")
 
 
 class TestCsv:

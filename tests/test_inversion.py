@@ -94,6 +94,22 @@ class TestKrein:
         with pytest.raises(ValueError):
             KreinConfig(alpha=0.0, beta=0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(2**64, 1.0), (0.0, 2**64)])
+    def test_int_beyond_int64_acts_as_its_float(self, alpha, beta):
+        # is_real takes any int in the float range, and so must the
+        # finiteness test; the trace vanishes at n = 1 for the first
+        # pair and b is recovered for the second
+        r = kernel_of(np.array([0.3, -0.2, 0.5]), 4)
+
+        def outcome(config):
+            try:
+                return invert_krein(r, 4, config).tobytes()
+            except DegenerateTrace as exc:
+                return exc.index
+
+        assert outcome(KreinConfig(alpha, beta)) == outcome(
+            KreinConfig(float(alpha), float(beta)))
+
     def test_trivial_horizon(self):
         assert invert_krein([1.0], 1).size == 0
 

@@ -308,6 +308,12 @@ class TestPhiPolynomial:
         with pytest.raises(ValueError):
             phi_polynomial([1.0], 0.0, 2)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, lam):
+        with pytest.raises(ValueError,
+                           match="^lam must be a finite real number$"):
+            phi_polynomial([1.0, 0.0], lam, 2)
+
 
 class TestKernelFromSpectral:
     def test_normalized_head(self):
