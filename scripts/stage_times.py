@@ -10,7 +10,7 @@ pipeline (size N, the interval length):
                              multisection to brackets
                              linalg._BRACKET_WIDTH of the scale wide
     twisted_refinement       the Rayleigh-quotient steps, one twisted
-                             factorization each
+                             factorization (linalg._twist) each
     vector_pass              the rest of eigen_decompose: one more
                              twisted pass at the final shifts, whose
                              vectors it keeps, any bisection to
@@ -35,7 +35,7 @@ The round-trip pipeline (size T, the horizon):
 Each stage time is the best of REPEATS calls per potential, and the
 cell reports the median over potentials in milliseconds (a report is
 timed once per cell).  The three eigen_decompose stages come from one
-call, timed by wrapping linalg._multisect and linalg._twisted for its
+call, timed by wrapping linalg._multisect and linalg._twist for its
 duration.  Wrapping linalg._sturm_counts too, each spectral cell also
 records the most Sturm passes the coarse stage made on one of its
 potentials (coarse_passes), and how many rows its eigensystems sent to
@@ -125,17 +125,19 @@ def eigen_stages(H):
     """eigen_decompose(H) split into its three stages (ms), its Sturm
     passes and bisected rows, and its result.
 
-    The first linalg._multisect call is the coarse stage; the first
-    _CORRECTIONS linalg._twisted calls, made on the rows that take
-    Rayleigh-quotient steps, are the refinement; everything else in the
-    call is the vector pass.  The rows of a second _multisect call are
-    those bisected to roundoff.
+    The first linalg._multisect call is the coarse stage; the
+    linalg._twist calls made outside linalg._twisted, one per
+    Rayleigh-quotient step, are the refinement; everything else in the
+    call, the _twist inside each _twisted call included, is the vector
+    pass.  The rows of a second _multisect call are those bisected to
+    roundoff.
     """
-    spent = {"_multisect": [], "_twisted": []}
+    spent = {"_multisect": [], "_twist": []}
     originals = {name: getattr(linalg, name)
-                 for name in (*spent, "_sturm_counts")}
+                 for name in (*spent, "_twisted", "_sturm_counts")}
     passes = []  # Sturm passes per _multisect call
     rows = []  # eigenvalues per _multisect call
+    inside = []  # the _twisted calls running
 
     def timed(name):
         def wrapper(*args, **kwargs):
@@ -146,8 +148,16 @@ def eigen_stages(H):
             try:
                 return originals[name](*args, **kwargs)
             finally:
-                spent[name].append(time.perf_counter() - start)
+                if not inside:
+                    spent[name].append(time.perf_counter() - start)
         return wrapper
+
+    def vectors(*args):
+        inside.append(True)
+        try:
+            return originals["_twisted"](*args)
+        finally:
+            inside.pop()
 
     def counted(*args):
         passes[-1] += 1
@@ -155,6 +165,7 @@ def eigen_stages(H):
 
     for name in spent:
         setattr(linalg, name, timed(name))
+    linalg._twisted = vectors
     linalg._sturm_counts = counted
     try:
         start = time.perf_counter()
@@ -164,9 +175,7 @@ def eigen_stages(H):
         for name, fn in originals.items():
             setattr(linalg, name, fn)
     coarse = spent["_multisect"][0]
-    steps = linalg._CORRECTIONS
-    refine = (sum(spent["_twisted"][:steps])
-              if len(spent["_twisted"]) > steps else 0.0)
+    refine = sum(spent["_twist"])
     return {"coarse_multisection": coarse * 1e3,
             "twisted_refinement": refine * 1e3,
             "vector_pass": (total - coarse - refine) * 1e3}, {

@@ -3,12 +3,13 @@
 JSON documents have the shape {"kind": ..., "values": ..., "meta": {...}}
 with kind one of "potential", "control", "kernel", "spectral".  Vector
 kinds store a flat list of numbers; spectral files store pairs
-[lambda_k, rho_k].  Floats are emitted with 17 significant digits so
-every double round-trips exactly and identical runs produce identical
-bytes.  A file loads as its value, checked against the invariants of
-its domain type and then against the kind the caller expects: a 1-D
-float array for potential, control and kernel files, SpectralData for
-spectral files.  meta must be an object and is not read.
+[lambda_k, rho_k].  Floats are emitted with 17 significant digits,
+and -0.0 in JSON as -0.0, so every double round-trips exactly and
+identical runs produce identical bytes.  A file loads as its value,
+checked against the invariants of its domain type and then against
+the kind the caller expects: a 1-D float array for potential, control
+and kernel files, SpectralData for spectral files.  meta must be an
+object and is not read.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def dumps_json(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
+        # JSON reads -0 as the integer 0; -0.0 keeps the sign bit
+        text = _format_float(obj)
+        return "-0.0" if text == "-0" else text
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

@@ -20,15 +20,17 @@ the first pass every eigenvalue shares the Gershgorin bracket, and one
 tree takes ten halvings for all of them.  The walk down the trees
 follows each eigenvalue's flat position in the raveled tree and its
 counts, one take per level.  The count keeps the pivots of
-a block of sites in a reused buffer, so a site costs a divide and a
-subtract, and the sign bits are counted once per block.  The twisted
+a block of sites in a reused buffer, so a site costs a reciprocal and
+a subtract, and the sign bits are counted once per block.  The twisted
 factorization runs its recurrences unclamped in IEEE arithmetic on
 contiguous tables and reruns, with pivots clamped away from zero, only
 the shifts where a pivot that divides came within pivmin of zero (the
 fast path with a careful rerun of Marques, Riedy & Voemel, SIAM J. Sci.
-Comput. 28, 2006); the vectors are formed in place.  All of it gives
-the same bits as one tree per eigenvalue, a pivot and a count per site,
-and a clamp at every pivot.
+Comput. 28, 2006).  A Rayleigh-quotient step reads only gamma_r and
+|z|^2 of it; only the vector pass and the rows bisected to roundoff
+make the vectors unit, in place, and bound their residuals.  All of it
+gives the same bits as one tree per eigenvalue, a pivot and a count per
+site, and a clamp at every pivot.
 """
 
 from __future__ import annotations
@@ -100,12 +102,12 @@ def _sturm_counts(d, xs):
             if start:
                 # the last pivot of the block before, read before the
                 # block's rows overwrite it
-                np.divide(1.0, pivot[-1], out=tmp)
+                np.reciprocal(pivot[-1], out=tmp)
             np.subtract(d[start:start + rows, None], xs, out=q[:rows])
             if start:
                 pivot[0] -= tmp
             for j in range(1, rows):
-                np.divide(1.0, pivot[j - 1], out=tmp)
+                np.reciprocal(pivot[j - 1], out=tmp)
                 pivot[j] -= tmp
             # a pivot of -0.0 counts as negative, as its sign bit says;
             # the signs of a block of at most 127 sites sum in int8
@@ -141,7 +143,7 @@ def _multisect(d, lower, upper, target, pivmin, width=None):
         # ascending targets in two; were a run split, its tree would
         # only be counted twice
         bits = np.stack((lower, upper), axis=1).view(np.int64)
-        new = np.append(True, np.any(bits[1:] != bits[:-1], axis=1))
+        new = np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
         group = np.cumsum(new) - 1
         first = np.flatnonzero(new)
         depth = max(_MIN_DEPTH, (_PASS_SHIFTS // first.size + 1).bit_length()
@@ -169,7 +171,8 @@ def _multisect(d, lower, upper, target, pivmin, width=None):
             take_upper = counts[at] >= target
             upper = np.where(take_upper, mid, upper)
             lower = np.where(take_upper, lower, mid)
-            at += np.where(take_upper, 1, 2) * (2 ** level * first.size)
+            stride = 2 ** level * first.size
+            at += np.where(take_upper, stride, 2 * stride)
             steps += 1
     return lower, upper
 
@@ -185,16 +188,20 @@ def _pivots(rows, pivmin=None):
     tmp = np.empty(rows.shape[1:])
     pivots[0] = rows[0]
     above = pivots[0]
-    for row, below in zip(rows[1:], pivots[1:]):
-        if pivmin is not None:
-            np.copyto(above, -pivmin, where=np.abs(above) <= pivmin)
-        np.divide(1.0, above, out=tmp)
-        np.subtract(row, tmp, out=below)
+    sites = zip(rows[1:], pivots[1:])
+    if pivmin is None:
+        for row, below in sites:
+            np.subtract(row, np.reciprocal(above, out=tmp), out=below)
+            above = below
+        return pivots
+    for row, below in sites:
+        np.copyto(above, -pivmin, where=np.abs(above) <= pivmin)
+        np.subtract(row, np.reciprocal(above, out=tmp), out=below)
         above = below
     return pivots
 
 
-def _twisted(d, lam, pivmin):
+def _twist(d, lam, pivmin):
     """Twisted factorizations of T - lam_k for a stack of shifts.
 
     With a_i = d_i - lam_k, the stationary pivots D_i = a_i - 1 / D_{i-1}
@@ -202,16 +209,18 @@ def _twisted(d, lam, pivmin):
     up from the bottom, and gamma_i = D_i + R_i - a_i.  At the twist
     r = argmin |gamma_i|, the vector z with z_r = 1, z_i = -z_{i+1} / D_i
     above r and z_i = -z_{i-1} / R_i below it, solves
-    (T - lam_k) z = gamma_r e_r.  Returns the Rayleigh-quotient step
-    gamma_r / |z|^2, the unit vectors z / |z| as the rows of a (K, n)
-    array, and the residual bounds |gamma_r| / |z|.
+    (T - lam_k) z = gamma_r e_r.  Returns gamma_r, the vectors z as the
+    rows of a (K, n) array, and |z|^2: the Rayleigh-quotient step
+    gamma_r / |z|^2 reads nothing more.
     """
     n = d.size
     # row i of the (n, 2, K) table holds site i for every shift, so each
     # step reads contiguous memory; one loop runs both recurrences, the
     # progressive one on reversed rows
-    a = d[:, None] - lam
-    rows = np.stack((a, a[::-1]), axis=1)
+    rows = np.empty((n, 2, lam.size))
+    a = rows[:, 0]
+    np.subtract(d[:, None], lam, out=a)
+    rows[:, 1] = a[::-1]
     # where every pivot that divides stays beyond pivmin the clamp never
     # acts; only the other recurrences, NaN included, are rerun clamped.
     # A shift far from every eigenvalue may overflow; its row then fails
@@ -230,22 +239,30 @@ def _twisted(d, lam, pivmin):
         gamma = gamma[twist, np.arange(lam.size)]
         # ratios z_i / z_{i+1} above the twist and z_i / z_{i-1} below
         # it; ones elsewhere, so two running products meet at z_r = 1.
-        # The masks cover up's last row and down's first, which no ratio
-        # fills
+        # up's last row and down's first, which no ratio fills, keep
+        # their ones
         site = np.arange(n)[:, None]
-        up = np.empty_like(a)
-        np.divide(-1.0, top[:-1], out=up[:-1])
-        np.copyto(up, 1.0, where=site >= twist)
-        down = np.empty_like(a)
-        np.divide(-1.0, bottom[1:], out=down[1:])
-        np.copyto(down, 1.0, where=site <= twist)
+        up = np.ones((n, lam.size))
+        np.divide(-1.0, top[:-1], out=up[:-1], where=site[:-1] < twist)
+        down = np.ones((n, lam.size))
+        np.divide(-1.0, bottom[1:], out=down[1:], where=site[1:] > twist)
         np.multiply.accumulate(up[::-1], axis=0, out=up[::-1])
         np.multiply.accumulate(down, axis=0, out=down)
         up *= down
         z = np.ascontiguousarray(up.T)
-        norm2 = np.einsum("kn,kn->k", z, z)
+        return gamma, z, np.einsum("kn,kn->k", z, z)
+
+
+def _twisted(d, lam, pivmin):
+    """_twist with its vectors made unit: the Rayleigh-quotient step
+    gamma_r / |z|^2, the unit vectors z / |z| as the rows of a (K, n)
+    array, and the residual bounds |gamma_r| / |z|.
+    """
+    gamma, z, norm2 = _twist(d, lam, pivmin)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         norm = np.sqrt(norm2)
-        return gamma / norm2, z / norm[:, None], np.abs(gamma) / norm
+        z /= norm[:, None]
+        return gamma / norm2, z, np.abs(gamma) / norm
 
 
 def tridiag_eigensystem(d):
@@ -297,8 +314,8 @@ def tridiag_eigensystem(d):
         if free.size:
             shift = lam[free]
             for _ in range(_CORRECTIONS):
-                step = _twisted(d, shift, pivmin)[0]
-                moved = shift + step
+                gamma, _, norm2 = _twist(d, shift, pivmin)
+                moved = shift + gamma / norm2
                 inside = (moved >= lower[free]) & (moved <= upper[free])
                 bisect[free[~inside]] = True
                 shift = np.where(inside, moved, shift)

@@ -483,3 +483,47 @@ def level_multisect(d, lower, upper, target, pivmin, width=None):
             node += ~take_upper * 2 ** level
             steps += 1
     return lower, upper
+
+
+def plain_twisted(d, lam, pivmin):
+    """linalg._twisted with the (n, 2, K) table stacked from a separate
+    copy of d - lam, a pivot loop that tests for the clamp and divides
+    1 by the pivot at every site, ratio tables filled by a divide over
+    every row and then overwritten with ones by a mask, and the unit
+    vectors formed as new arrays."""
+    def pivots(rows, pivmin=None):
+        out = np.empty_like(rows)
+        out[0] = rows[0]
+        for i in range(1, rows.shape[0]):
+            if pivmin is not None:
+                np.copyto(out[i - 1], -pivmin,
+                          where=np.abs(out[i - 1]) <= pivmin)
+            out[i] = rows[i] - np.divide(1.0, out[i - 1])
+        return out
+
+    n = d.size
+    a = d[:, None] - lam
+    rows = np.stack((a, a[::-1]), axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = pivots(rows)
+        rerun = ~np.all(np.abs(p[:-1]) > pivmin, axis=0)
+        if rerun.any():
+            p[:, rerun] = pivots(rows[:, rerun], pivmin)
+        np.copyto(p[-1], -pivmin, where=np.abs(p[-1]) <= pivmin)
+        top, bottom = p[:, 0], p[::-1, 1]
+        gamma = top + bottom - a
+        twist = np.argmin(np.abs(gamma), axis=0)
+        gamma = gamma[twist, np.arange(lam.size)]
+        site = np.arange(n)[:, None]
+        up = np.empty_like(a)
+        up[:-1] = np.divide(-1.0, top[:-1])
+        up[site >= twist] = 1.0
+        down = np.empty_like(a)
+        down[1:] = np.divide(-1.0, bottom[1:])
+        down[site <= twist] = 1.0
+        up = np.multiply.accumulate(up[::-1], axis=0)[::-1]
+        down = np.multiply.accumulate(down, axis=0)
+        z = np.ascontiguousarray((up * down).T)
+        norm2 = np.einsum("kn,kn->k", z, z)
+        norm = np.sqrt(norm2)
+        return gamma / norm2, z / norm[:, None], np.abs(gamma) / norm

@@ -102,6 +102,19 @@ class TestResponse:
         doc = json.loads(capsys.readouterr().out)
         assert doc["values"] == [1, -0.5, 0.25]
 
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        # the kernel of a zero potential holds -0.0 at r_1; the file
+        # writes it as -0.0, which JSON reads back with its sign bit
+        pot = write_doc(tmp_path / "p.json", "potential", [0.0, 0.0])
+        out = tmp_path / "k.json"
+        assert main(["response", "--potential", pot, "--order", "4",
+                     "--output", str(out)]) == 0
+        assert "[1, -0.0, 0, 0, 0]" in out.read_text()
+        want = response_kernel(np.zeros(2), 4)
+        assert np.signbit(want[1])
+        got = files.load_problem(str(out), "kernel")
+        assert got.tobytes() == want.tobytes()
+
     def test_wrong_kind_rejected(self, tmp_path, capsys):
         ker = write_doc(tmp_path / "k.json", "kernel", [1.0, 0.0])
         assert main(["response", "--potential", ker, "--order", "1"]) == 2

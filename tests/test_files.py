@@ -146,11 +146,7 @@ class TestSpectralFiles:
         # doubles that need all 17 digits
         [[-1.0 / 3.0, 3.0000000000000004], [0.1, 2.9999999999999996],
          [2.0 ** 0.5, 3.0], [1e300, 1e17]],
-        pytest.param(
-            [[-1.0, 2.0], [-0.0, 4.0], [1.0, 4.0]],
-            marks=pytest.mark.xfail(
-                strict=True, reason="-0.0 is written as -0, which JSON "
-                                    "reads as the integer 0")),
+        [[-1.0, 2.0], [-0.0, 4.0], [1.0, 4.0]],
     ], ids=["seventeen-digits", "negative-zero"])
     def test_loaded_pairs_are_the_written_bits(self, tmp_path, pairs):
         path = tmp_path / "s.json"

@@ -165,22 +165,25 @@ class TestEigen:
     def test_steps_outside_the_bracket_are_refused(self, monkeypatch):
         # the first Rayleigh-quotient step of every row is forced onto
         # a neighbouring eigenvalue, where the later steps would settle;
-        # only the bracket test keeps each row on its own eigenvalue
+        # only the bracket test keeps each row on its own eigenvalue.
+        # A step is gamma_r / |z|^2 of _twist, so the forced call
+        # returns the step itself as gamma_r over a unit |z|^2
         rng = np.random.default_rng(12)
         d = rng.uniform(-1.0, 1.0, 20)
         ref = np.linalg.eigvalsh(dense(d))
-        twisted = linalg._twisted
+        twist = linalg._twist
         calls = []
 
         def jump(d_, lam, pivmin):
-            step, vectors, residual = twisted(d_, lam, pivmin)
+            gamma, z, norm2 = twist(d_, lam, pivmin)
             calls.append(lam.size)
             if len(calls) == 1:
                 k = np.argmin(np.abs(ref - lam[:, None]), axis=1)
-                step = ref[np.where(k + 1 < ref.size, k + 1, k - 1)] - lam
-            return step, vectors, residual
+                gamma = ref[np.where(k + 1 < ref.size, k + 1, k - 1)] - lam
+                norm2 = np.ones_like(norm2)
+            return gamma, z, norm2
 
-        monkeypatch.setattr(linalg, "_twisted", jump)
+        monkeypatch.setattr(linalg, "_twist", jump)
         lam, vectors, residual = linalg.tridiag_eigensystem(d)
         assert calls[0] == 20
         assert np.max(np.abs(lam - ref)) <= 1e-12 * np.abs(ref).max()
@@ -369,23 +372,54 @@ class TestKernels:
             assert got.tolist() == want
 
     def test_twisted_columns_are_independent(self):
-        # shift d[0] makes the first stationary pivot exactly 0; shift 0
-        # makes it 1e-40, within pivmin but not zero, and makes the
-        # progressive pivot at site m exactly 0.  Both take the clamped
-        # rerun.  On six sites ending in d_5 = 1 / D_4, shift 0 makes
-        # the last stationary pivot exactly 0, and it divides nothing
-        rng = np.random.default_rng(14)
-        n, m = 24, 9
-        d = rng.uniform(-1.0, 1.0, n)
-        d[0] = 1e-40
-        pivot = d[-1]
-        for i in range(n - 2, m, -1):
-            pivot = d[i] - 1.0 / pivot
-        d[m] = 1.0 / pivot
-        lam = np.append(linalg.tridiag_eigensystem(d)[0][::5], [d[0], 0.0])
-        check_twisted(d, lam, clamped=(-2, -1))
-        d = zero_pivots(d[1:7], [5])
-        check_twisted(d, np.array([0.5, 0.0]), clamped=(-1,))
+        for d, lam, clamped in clamped_shifts():
+            check_twisted(d, lam, clamped)
+
+    def test_twisted_matches_the_plain_form(self):
+        # _twist fills its table and the ones of its ratio tables in
+        # place, _twisted makes the vectors unit in place, and the
+        # pivot loops take reciprocals: every bit must stay that of the
+        # plain form, and the Rayleigh-quotient step gamma_r / |z|^2
+        # read from _twist alone must be _twisted's step.  The shifts
+        # are the eigenvalues, the midpoints between them, points
+        # across the Gershgorin bracket, d_0 and 0, and the shifts
+        # that take the clamped rerun
+        rng = np.random.default_rng(16)
+        cases = [(d, lam) for d, lam, _ in clamped_shifts()]
+        for _, d in helpers.diagonal_families():
+            lo, hi, _, _ = gershgorin_setup(d)
+            lam = linalg.tridiag_eigensystem(d)[0]
+            cases.append((d, np.concatenate((
+                lam, 0.5 * (lam[1:] + lam[:-1]), rng.uniform(lo, hi, 8),
+                [d[0], 0.0]))))
+        for d, lam in cases:
+            *_, pivmin = gershgorin_setup(d)
+            got = linalg._twisted(d, lam, pivmin)
+            want = helpers.plain_twisted(d, lam, pivmin)
+            assert all(map(helpers.same_bits, got, want)), d
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gamma, _, norm2 = linalg._twist(d, lam, pivmin)
+                assert helpers.same_bits(gamma / norm2, want[0]), d
+
+
+def clamped_shifts():
+    """(d, shifts, columns that take the clamped rerun) for the twisted
+    factorization.  Shift d[0] makes the first stationary pivot exactly
+    0; shift 0 makes it 1e-40, within pivmin but not zero, and makes
+    the progressive pivot at site m exactly 0.  Both take the clamped
+    rerun.  On six sites ending in d_5 = 1 / D_4, shift 0 makes the
+    last stationary pivot exactly 0, and it divides nothing."""
+    rng = np.random.default_rng(14)
+    n, m = 24, 9
+    d = rng.uniform(-1.0, 1.0, n)
+    d[0] = 1e-40
+    pivot = d[-1]
+    for i in range(n - 2, m, -1):
+        pivot = d[i] - 1.0 / pivot
+    d[m] = 1.0 / pivot
+    lam = np.append(linalg.tridiag_eigensystem(d)[0][::5], [d[0], 0.0])
+    short = zero_pivots(d[1:7], [5])
+    return [(d, lam, (-2, -1)), (short, np.array([0.5, 0.0]), (-1,))]
 
 
 def zero_pivots(d, sites):
