@@ -10,13 +10,14 @@ solvers factor straight from r without assembling it.
 
 Kernels of many potentials come from one Goursat fill over an (M, L)
 stack of potentials (_response_kernels, which the round-trip report
-calls once per block of instances); response_kernel is its M = 1 case,
-so a stacked row and a single call give the same bits.  The fill keeps
-the stack axis last and a band of ceil(K/2) sites behind a zero wall:
-r_K is the boundary echo of a wave that travelled at most ceil(K/2)
-sites out and back, so the wall changes no bit of r_0..r_K, and the
-sites beyond the band are never read.  control_matrix reads the whole
-table of order T - 1 from the same fill, with a band of T - 1 sites.
+calls once per block of instances); response_kernel runs the same fill
+on its one potential as a 1-D array, and a stacked row has the bits of
+that call.  The fill keeps any stack axis last and a band of ceil(K/2)
+sites behind a zero wall: r_K is the boundary echo of a wave that
+travelled at most ceil(K/2) sites out and back, so the wall changes no
+bit of r_0..r_K, and the sites beyond the band are never read.
+control_matrix reads the whole table of order T - 1 from the same fill,
+with a band of T - 1 sites.
 """
 
 from __future__ import annotations
@@ -31,16 +32,17 @@ from .forward import _wave_steps, solve_goursat, solve_semi_infinite
 def _response_kernels(b, K):
     """Kernel prefixes (r_0, ..., r_K) of a stack of potentials.
 
-    b is an (M, L) float array; returns the (M, K + 1) kernels from one
-    Goursat fill over the whole stack, each row the same bits as
-    response_kernel(b[m], K).  The fill keeps a band of ceil(K/2)
+    b is one potential (L,) or an (M, L) stack; returns its (K + 1,)
+    kernel or the (M, K + 1) kernels from one Goursat fill over the
+    whole stack, row m with the bits of response_kernel(b[m], K), which
+    is this fill on b[m] alone.  The fill keeps a band of ceil(K/2)
     sites: waves move one site per step, so r_s = w_{1,s} is exact for
     s <= 2 ceil(K/2) >= K, and sites beyond the band are never read.
     """
-    r = np.zeros((b.shape[0], K + 1))
+    r = np.zeros(b.shape[:-1] + (K + 1,))
     for s, w in enumerate(_wave_steps(b, K, (K + 1) // 2)):
-        r[:, s] = w[1]
-    r[:, 0] = 1.0
+        r[..., s] = w[1]
+    r[..., 0] = 1.0
     return r
 
 
@@ -56,7 +58,7 @@ def response_kernel(b, K):
     """
     K = check_count(K, 0, "kernel order must be nonnegative")
     b = check_potential(b)
-    return _response_kernels(b[None], K)[0]
+    return _response_kernels(b, K)
 
 
 def apply_response(r, f):

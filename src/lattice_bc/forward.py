@@ -12,14 +12,14 @@ T steps a control f_0..f_{T-1} drives never see sites beyond n = T:
 truncating the half-line at n = T is exact, not an approximation.
 
 One stepper, _wave_steps, runs this recurrence for every table here
-and in bc_ops, over a stack of potentials and a band of sites behind a
-zero wall: fed a control, it is the interval problem, whose Dirichlet
-wall that is; without one, the Goursat fill of the triangular kernel w.
-A wrong value at the wall needs one step per site to travel back, so
-with a band of rows sites the fill's first row w_{1,s} = r_s is exact
-for s <= 2 rows, and its whole wedge for orders up to rows.  A kernel
-of order K thus needs only ceil(K/2) sites, and a table of order S
-needs S.
+and in bc_ops, over one potential or a stack of them and a band of
+sites behind a zero wall: fed a control, it is the interval problem,
+whose Dirichlet wall that is; without one, the Goursat fill of the
+triangular kernel w.  A wrong value at the wall needs one step per site
+to travel back, so with a band of rows sites the fill's first row
+w_{1,s} = r_s is exact for s <= 2 rows, and its whole wedge for orders
+up to rows.  A kernel of order K thus needs only ceil(K/2) sites, and a
+table of order S needs S.
 """
 
 from __future__ import annotations
@@ -120,10 +120,11 @@ def solve_semi_infinite(b, f):
 def _wave_steps(b, S, rows, control=None):
     """The wave recurrence on a stack of potentials, one time step at a time.
 
-    b is an (M, L) float array, zero-padded or cut to its first rows
-    sites.  Yields, for s = 0..S, the (rows + 2, M) slab u_s with
-    u_s[n, m] = u_{n,s} for the potential b[m]: the stack axis is last,
-    sites 1..rows form a fixed band, and row rows + 1 is a zero wall.
+    b is one potential (L,) or an (M, L) stack, zero-padded or cut to
+    its first rows sites.  Yields, for s = 0..S, the (rows + 2,) or
+    (rows + 2, M) slab u_s with u_s[n, m] = u_{n,s} for the potential
+    b[m]: the stack axis is last, and absent for one potential, sites
+    1..rows form a fixed band, and row rows + 1 is a zero wall.
     Given control (S + 1,), row 0 of u_s holds control[s] for the whole
     stack, and the steps run from s = 1 on zero initial data.  Without
     it the slabs are the Goursat fill w_{n,s}: row 0 stays zero, the
@@ -135,13 +136,12 @@ def _wave_steps(b, S, rows, control=None):
     a run of that potential alone, and for finite b the fill's entries
     outside the wedge (n > s) stay +0.0.
     """
-    M = b.shape[0]
-    band = np.zeros((rows, M))
-    band[:min(b.shape[1], rows)] = b[:, :rows].T
+    band = np.zeros((rows,) + b.shape[:-1])
+    band[:min(b.shape[-1], rows)] = b[..., :rows].T
     if control is None:
         diag = -np.cumsum(band, axis=0)
-    tmp = np.empty((rows, M))
-    slabs = [np.zeros((rows + 2, M)) for _ in range(3)]
+    tmp = np.empty_like(band)
+    slabs = [np.zeros((rows + 2,) + b.shape[:-1]) for _ in range(3)]
     # (slab, its band n, the band's neighbours n + 1 and n - 1)
     older, last, new = ((x, x[1:rows + 1], x[2:], x[:rows]) for x in slabs)
     first = 2 if control is None else 1
@@ -164,8 +164,8 @@ def _table(b, S, rows, control=None):
     """The (rows + 2, S + 1) table of the one potential b, column s the
     slab u_s of _wave_steps."""
     table = np.empty((rows + 2, S + 1))
-    for s, u in enumerate(_wave_steps(b[None], S, rows, control)):
-        table[:, s] = u[:, 0]
+    for s, u in enumerate(_wave_steps(b, S, rows, control)):
+        table.T[s] = u
     return table
 
 

@@ -21,16 +21,17 @@ of C-bar, so that route is the factorization; the Krein systems of all
 horizons share one forward substitution with L, done inside the
 recursion.
 
-_answers runs the recursion on an (M, 2T-1) stack of kernels, one
-Python step per order for the whole stack, and reads it out as one
-record of float64 and int arrays, one column per kernel: the minors,
-pivots and reached order, and b-hat and the failure's argument of the
-factorization and of Krein.  The long double internals never leave it.
-Only _first_failing reads det_tol.  Each public function is the
-M = 1 case: it reads column 0 and builds the verdict, returns a copy of
+_answers runs the recursion on one kernel (2T-1,) or on an (M, 2T-1)
+stack, one Python step per order for the whole stack, and reads it out
+as one record of float64 and int arrays: the minors, pivots and reached
+order, and b-hat and the failure's argument of the factorization and of
+Krein, with a last axis of one column per kernel only for a stack.  The
+long double internals never leave it.  Only _first_failing reads
+det_tol.  Each public function runs it on its kernel as a 1-D array, so
+no step pays for a stack axis, and builds the verdict, returns a copy of
 b-hat or raises the route's failure, in the order _FAILURES gives.  The
-round-trip report reads _block_outcomes once per block of instances,
-with the same bits per kernel as the public functions.
+round-trip report reads _block_outcomes once per block of instances;
+each column of a stack has the bits of the 1-D run of its kernel.
 
 The public functions share one record per kernel, with the default
 Krein right-hand sides: _cached_answers, an lru_cache of size one keyed
@@ -148,7 +149,8 @@ def _checked_kernel(r, T):
 
 class _Answers(NamedTuple):
     """What the public functions answer for a stack of M kernels, in
-    float64 and int arrays, column m for kernel m.
+    float64 and int arrays, column m for kernel m; one kernel has no M
+    axis, so its fields are (T,), (T - 1,) and 0-d arrays.
 
     minors and pivots (T, M) are the verdict's values, valid in each
     column's rows below its reached order (M,).  factorization and
@@ -179,7 +181,7 @@ _FAILURES = {
 
 def _answers(r, T, config):
     """LDL^T of C-bar and the Jacobi coefficients, from r_0..r_{2T-2},
-    read out as the _Answers of the stack r.
+    read out as the _Answers of the kernel or stack r.
 
     The modified Chebyshev algorithm (Sack & Donovan 1971; Wheeler
     1974; Gautschi 2004, section 2.1.7) with modified moments r_l in
@@ -193,12 +195,13 @@ def _answers(r, T, config):
     pivots d_k = sigma_{k,k} and L_{ik} = sigma_{k,i} / sigma_{k,k}, so
     that C-bar = L diag(d) L^T.  b_{k+1} = -alpha_k for response data.
     Column k of L is used as soon as it is known, to reduce the Krein
-    right-hand sides g (M, T) of config by forward substitution, so L
+    right-hand sides g of config by forward substitution, so L
     itself is never stored.
 
-    r is an (M, >= 2T - 1) stack, held with the stack axis last, and
-    every step runs on all M kernels at once, in long double.  A kernel
-    runs on past a zero or non-finite pivot, with floating point
+    r is one kernel (>= 2T - 1,), whose d_k, alpha_k and beta_k are
+    numpy scalars, or an (M, >= 2T - 1) stack, held with the stack axis
+    last; every step runs on all M kernels at once, in long double.  A
+    kernel runs on past a zero or non-finite pivot, with floating point
     warnings silenced; its entries past the first zero pivot, or past
     the solvers' floor, are never read, and tracking that per step
     costs more than the wasted arithmetic.  The minors and pivots go
@@ -207,14 +210,14 @@ def _answers(r, T, config):
     not above the floor; Krein's trace y_tau = z_{tau-1} / d_{tau-1},
     y_0 = alpha, fails first where it vanishes relative to max |y|.
     """
-    M, n = r.shape[0], 2 * T - 1
-    sigma = np.array(r[:, :n].T, dtype=np.longdouble, order="C")
-    older = np.zeros((n, M), dtype=np.longdouble)
+    stack, n = r.shape[:-1], 2 * T - 1
+    sigma = np.array(r[..., :n].T, dtype=np.longdouble, order="C")
+    older = np.zeros_like(sigma)
     # step k reads only entries k-1..n-k of sigma, which step k-1
     # wrote, so three buffers rotate without clearing
-    spare = np.empty((n, M), dtype=np.longdouble)
-    alpha = np.empty((T - 1, M), dtype=np.longdouble)
-    d = np.empty((T, M), dtype=np.longdouble)
+    spare = np.empty_like(sigma)
+    alpha = np.empty((T - 1,) + stack, dtype=np.longdouble)
+    d = np.empty((T,) + stack, dtype=np.longdouble)
     z = np.array(_krein_rhs(r, T, config).T, dtype=np.longdouble,
                  order="C")
     with np.errstate(all="ignore"):
@@ -240,7 +243,8 @@ def _answers(r, T, config):
         minors = np.cumprod(d, axis=0).astype(float)
         pivots = d.astype(float)
         y = np.concatenate(
-            (np.full((1, M), config.alpha, dtype=np.longdouble), z / d))
+            (np.full((1,) + stack, config.alpha, dtype=np.longdouble),
+             z / d))
         vanished = (np.abs(y[1:T])
                     <= _DEGENERACY_TOL * np.max(np.abs(y), axis=0))
         krein = ((y[2:] + y[:-2]) / y[1:-1]).astype(float)
@@ -255,9 +259,9 @@ def _answers(r, T, config):
 
 def _first(flags):
     """Index of the first true row in each column of flags, else the
-    row count."""
-    sentinel = np.ones((1, flags.shape[1]), dtype=bool)
-    return np.argmax(np.concatenate((flags, sentinel)), axis=0)
+    row count, as an array: 0-d for 1-D flags."""
+    sentinel = np.ones((1,) + flags.shape[1:], dtype=bool)
+    return np.asarray(np.argmax(np.concatenate((flags, sentinel)), axis=0))
 
 
 def _order(index, count):
@@ -266,7 +270,8 @@ def _order(index, count):
 
 
 def _pivot_floor(r, T):
-    """The solvers' floor (M, T) on the pivots d_k of the stack r.
+    """The solvers' floor (T,) or (M, T) on the pivots d_k of the
+    kernel or stack r.
 
     A pivot is usable when it is finite and above _PIVOT_MARGIN (k + 1)
     eps s_k, where s_k, the largest |r_0 + r_2 + ... + r_{2j}| over
@@ -274,27 +279,28 @@ def _pivot_floor(r, T):
     block (its largest entry when the block is positive definite).
     """
     scale = np.maximum.accumulate(
-        np.abs(np.cumsum(r[:, :2 * T:2], axis=1)), axis=1)
+        np.abs(np.cumsum(r[..., :2 * T:2], axis=-1)), axis=-1)
     return _PIVOT_MARGIN * _EPS * np.arange(1, T + 1) * scale
 
 
 def _krein_rhs(r, T, config):
-    """Reversed right-hand sides g (M, T) of the Krein systems of each
-    kernel in the stack r; the same row for all unless alpha != 0."""
+    """Reversed right-hand sides g (T,) or (M, T) of the Krein systems
+    of the kernel or stack r; the same row for all unless alpha != 0."""
     kappa = kappa_seq(T)
     g = config.beta * kappa[::-1]
     if config.alpha != 0.0:
         paired = np.append(kappa[1:], 0.0)
         adjoint = np.array([apply_response_adjoint(row, paired)
-                            for row in r])
-        g = g - config.alpha * adjoint[:, ::-1]
-    return np.broadcast_to(g, (r.shape[0], T))
+                            for row in r.reshape(-1, r.shape[-1])])
+        g = g - config.alpha * adjoint[:, ::-1].reshape(r.shape[:-1] + (T,))
+    return np.broadcast_to(g, r.shape[:-1] + (T,))
 
 
 def _first_failing(answers, det_tol):
-    """The first order (M,) whose minor is off one by more than
-    det_tol, 0 when admissible; a zero pivot or a value beyond
-    float64 fails by its order, so it is never past the reached one."""
+    """The first order (M,), 0-d for one kernel, whose minor is off one
+    by more than det_tol, 0 when admissible; a zero pivot or a value
+    beyond float64 fails by its order, so it is never past the reached
+    one."""
     with np.errstate(invalid="ignore"):
         passed = np.abs(answers.minors - 1.0) <= det_tol
     return _order(_first(~passed), passed.shape[0])
@@ -304,7 +310,7 @@ def _first_failing(answers, det_tol):
 def _cached_answers(T, prefix):
     """The read-only _Answers of the one kernel whose r_0..r_{2T-2}
     have the bytes prefix, with the default Krein right-hand sides."""
-    answers = _answers(np.frombuffer(prefix)[None], T, KreinConfig())
+    answers = _answers(np.frombuffer(prefix), T, KreinConfig())
     for array in answers:
         array.flags.writeable = False
     return answers
@@ -318,16 +324,16 @@ def _kernel_answers(r, T, config=None):
     if config is None or (config == KreinConfig()
                           and not np.signbit(config.alpha)):
         return _cached_answers(T, r[:2 * T - 1].tobytes())
-    return _answers(r[None], T, config)
+    return _answers(r, T, config)
 
 
 def _solve(answers, route):
-    """b-hat of column 0 of answers by route, or its first failure."""
+    """b-hat of one kernel's answers by route, or its first failure."""
     for error, field in _FAILURES[route]:
-        argument = getattr(answers, field)[0]
+        argument = int(getattr(answers, field))
         if argument:
             raise error(argument)
-    return getattr(answers, route)[:, 0].copy()
+    return getattr(answers, route).copy()
 
 
 def _block_outcomes(r, T, det_tol):
@@ -425,11 +431,11 @@ def characterize_response(r, T, det_tol=DET_TOL):
     det_tol = check_det_tol(det_tol)
     r, T = _checked_kernel(r, T)
     answers = _kernel_answers(r, T)
-    failing = int(_first_failing(answers, det_tol)[0])
-    reached = answers.reached[0]
+    failing = int(_first_failing(answers, det_tol))
+    reached = int(answers.reached)
     return CharacterizationVerdict(
         admissible=not failing,
         first_failing_order=failing or None,
-        minor_values=answers.minors[:reached, 0].copy(),
-        pivot_values=answers.pivots[:reached, 0].copy(),
+        minor_values=answers.minors[:reached].copy(),
+        pivot_values=answers.pivots[:reached].copy(),
     )

@@ -162,6 +162,25 @@ class TestGoursat:
             assert np.array_equal(w[:, :S + 1, m].T,
                                   solve_goursat(b[m], S).table)
 
+    @given(M=st.integers(1, 5), S=st.integers(0, 40), rows=st.integers(1, 42),
+           length=st.integers(0, 45), amplitude=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_controlled_slabs_are_single_runs(self, M, S, rows, length,
+                                                      amplitude, seed):
+        # the interval mode: a control on row 0 and a wall behind a band
+        # of rows sites, with b cut or zero-padded to the band
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(-amplitude, amplitude, (M, length))
+        control = rng.normal(size=S + 1)
+        u = np.array([slab.copy()
+                      for slab in _wave_steps(b, S, rows, control)])
+        assert u.shape == (S + 1, rows + 2, M)
+        for m in range(M):
+            one = np.array([slab.copy()
+                            for slab in _wave_steps(b[m], S, rows, control)])
+            assert one.shape == (S + 1, rows + 2)
+            assert u[..., m].tobytes() == one.tobytes()
+
     def test_value_accessor(self):
         w = solve_goursat([1.0, 1.0], 2)
         assert w.value(2, 1) == 0.0

@@ -314,6 +314,25 @@ class TestStack:
                                (DegenerateTrace, answers.trace[m])),
                 outcome(invert_krein, r[m], T, config))
 
+    @pytest.mark.parametrize("config", CONFIGS + (KreinConfig(alpha=-0.0),))
+    @pytest.mark.parametrize("T", [1, 2, 3, 64, 128])
+    def test_single_kernel_answers_are_stack_columns(self, T, config):
+        # every kind at a small and a large amplitude; a 1-D kernel gives
+        # 1-D and 0-d fields with the bits of its column of the stack
+        rng = np.random.default_rng(T)
+        r = np.concatenate([kernel_stack(KINDS, T, amplitude, rng)
+                            for amplitude in (0.1, 1.0)])
+        stacked = _answers(r, T, config)
+        shapes = {"minors": (T,), "pivots": (T,), "factorization": (T - 1,),
+                  "krein": (T - 1,)}
+        for m in range(len(r)):
+            single = _answers(r[m], T, config)
+            for field, got, column in zip(single._fields, single, stacked):
+                want = column[..., m]
+                assert isinstance(got, np.ndarray), field
+                assert got.shape == shapes.get(field, ()), field
+                assert same_outcome(got, want), (field, m)
+
     @given(T=st.integers(1, 24), kinds=kinds, amplitude=st.floats(0.0, 3.0),
            seed=st.integers(0, 2 ** 32 - 1),
            det_tol=st.sampled_from((1e-9, 1e-3)))
