@@ -10,12 +10,15 @@ pipeline (size N, the interval length):
                              multisection to brackets
                              linalg._BRACKET_WIDTH of the scale wide
     twisted_refinement       the Rayleigh-quotient steps, one twisted
-                             factorization (linalg._twist) each
-    vector_pass              the rest of eigen_decompose: one more
-                             twisted pass at the final shifts, whose
-                             vectors it keeps, any bisection to
-                             roundoff, the Gram-Schmidt pass on
-                             clusters, rho and the checks
+                             factorization (linalg._twist) each, of
+                             every row for the first step and of the
+                             rows whose shift moved for the later ones
+    vector_pass              the rest of eigen_decompose: the twisted
+                             pass over the rows whose final shift
+                             moved, the unit vectors at the final
+                             shifts, any bisection to roundoff, the
+                             Gram-Schmidt pass on clusters, rho and
+                             the checks
     kernel_from_spectral     r_0 .. r_{2N-1} from the spectral data
     invert_spectral          b-hat from the spectral data
 
@@ -38,8 +41,10 @@ timed once per cell).  The three eigen_decompose stages come from one
 call, timed by wrapping linalg._multisect and linalg._twist for its
 duration.  Wrapping linalg._sturm_counts too, each spectral cell also
 records the most Sturm passes the coarse stage made on one of its
-potentials (coarse_passes), and how many rows its eigensystems sent to
-the second _multisect call, the bisection to roundoff (bisected_rows).
+potentials (coarse_passes), how many rows its eigensystems sent to
+the second _multisect call, the bisection to roundoff (bisected_rows),
+and how many rows the vector pass factored again because their final
+shift moved (refactored_rows).
 The inversion functions share the recursion and readout of the last
 kernel they saw, so that cache is cleared before every call:
 each single-stage time is a cold call, and shared shows what sharing
@@ -123,33 +128,34 @@ def reference_ms():
 
 def eigen_stages(H):
     """eigen_decompose(H) split into its three stages (ms), its Sturm
-    passes and bisected rows, and its result.
+    passes, bisected and refactored rows, and its result.
 
-    The first linalg._multisect call is the coarse stage; the
-    linalg._twist calls made outside linalg._twisted, one per
-    Rayleigh-quotient step, are the refinement; everything else in the
-    call, the _twist inside each _twisted call included, is the vector
-    pass.  The rows of a second _multisect call are those bisected to
-    roundoff.
+    The first linalg._multisect call is the coarse stage; the first
+    linalg._CORRECTIONS linalg._twist calls made outside
+    linalg._twisted, one per Rayleigh-quotient step, are the
+    refinement; everything else in the call, the _twist call that
+    factors the moved rows at the final shifts and the _twist inside
+    each _twisted call included, is the vector pass.  The rows of a
+    second _multisect call are those bisected to roundoff.
     """
     spent = {"_multisect": [], "_twist": []}
+    sizes = {name: [] for name in spent}  # rows per call
     originals = {name: getattr(linalg, name)
                  for name in (*spent, "_twisted", "_sturm_counts")}
     passes = []  # Sturm passes per _multisect call
-    rows = []  # eigenvalues per _multisect call
     inside = []  # the _twisted calls running
 
     def timed(name):
         def wrapper(*args, **kwargs):
             if name == "_multisect":
                 passes.append(0)
-                rows.append(args[1].size)
             start = time.perf_counter()
             try:
                 return originals[name](*args, **kwargs)
             finally:
                 if not inside:
                     spent[name].append(time.perf_counter() - start)
+                    sizes[name].append(args[1].size)
         return wrapper
 
     def vectors(*args):
@@ -175,12 +181,14 @@ def eigen_stages(H):
         for name, fn in originals.items():
             setattr(linalg, name, fn)
     coarse = spent["_multisect"][0]
-    refine = sum(spent["_twist"])
+    refine = sum(spent["_twist"][:linalg._CORRECTIONS])
     return {"coarse_multisection": coarse * 1e3,
             "twisted_refinement": refine * 1e3,
             "vector_pass": (total - coarse - refine) * 1e3}, {
                 "coarse_passes": passes[0],
-                "bisected_rows": sum(rows[1:])}, sd
+                "bisected_rows": sum(sizes["_multisect"][1:]),
+                "refactored_rows": sum(
+                    sizes["_twist"][linalg._CORRECTIONS:])}, sd
 
 
 def best_stages_ms(H):
@@ -198,6 +206,7 @@ def time_spectral_cell(rng, N, amplitude, instances):
     rejected = 0
     coarse_passes = 0
     bisected_rows = 0
+    refactored_rows = 0
     for _ in range(instances):
         b = rng.uniform(-amplitude, amplitude, N)
         ms, H = best_ms(build_hamiltonian, b, N)
@@ -209,6 +218,7 @@ def time_spectral_cell(rng, N, amplitude, instances):
             continue
         coarse_passes = max(coarse_passes, counts["coarse_passes"])
         bisected_rows += counts["bisected_rows"]
+        refactored_rows += counts["refactored_rows"]
         for stage, ms in stage_ms.items():
             times[stage].append(ms)
         ms, _ = best_ms(kernel_from_spectral, sd, 2 * N - 1)
@@ -220,6 +230,7 @@ def time_spectral_cell(rng, N, amplitude, instances):
         "N": N, "amplitude": amplitude, "instances": instances,
         "rejected": rejected,
         "coarse_passes": coarse_passes, "bisected_rows": bisected_rows,
+        "refactored_rows": refactored_rows,
         "stage_ms": {stage: statistics.median(values) if values else None
                      for stage, values in times.items()},
         "max_abs_err": worst,
@@ -311,7 +322,8 @@ def measure(pipeline, sizes, instances):
                                for stage, ms in cell["stage_ms"].items())
             failed = cell.get("failed", cell.get("rejected"))
             passes = (f"  coarse passes {cell['coarse_passes']}  bisected "
-                      f"rows {cell['bisected_rows']}"
+                      f"rows {cell['bisected_rows']}  refactored rows "
+                      f"{cell['refactored_rows']}"
                       if pipeline == "spectral" else "")
             print(f"size={size:<4} amp={amplitude:<4} {stages}  "
                   f"max|b-hat - b| {brief(cell['max_abs_err'], '.1e')}  "

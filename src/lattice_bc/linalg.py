@@ -17,20 +17,25 @@ Both kernels spend their work on arithmetic, and each site costs few
 numpy calls.  A multisection pass counts one tree of nested midpoints
 per distinct bracket, as deep as a fixed budget of shifts allows: in
 the first pass every eigenvalue shares the Gershgorin bracket, and one
-tree takes ten halvings for all of them.  The walk down the trees
-follows each eigenvalue's flat position in the raveled tree and its
-counts, one take per level.  The count keeps the pivots of
-a block of sites in a reused buffer, so a site costs a reciprocal and
-a subtract, and the sign bits are counted once per block.  The twisted
-factorization runs its recurrences unclamped in IEEE arithmetic on
-contiguous tables and reruns, with pivots clamped away from zero, only
-the shifts where a pivot that divides came within pivmin of zero (the
-fast path with a careful rerun of Marques, Riedy & Voemel, SIAM J. Sci.
-Comput. 28, 2006).  A Rayleigh-quotient step reads only gamma_r and
-|z|^2 of it; only the vector pass and the rows bisected to roundoff
-make the vectors unit, in place, and bound their residuals.  All of it
-gives the same bits as one tree per eigenvalue, a pivot and a count per
-site, and a clamp at every pivot.
+tree takes ten halvings for all of them.  The trees are held in order,
+as one ascending array of bracket edges per pass, each level's
+midpoints written in place between the edges above them.  The walk
+down the trees follows the flat position of each eigenvalue's lower
+edge, one update per level, and the width test runs only at the levels
+where it can hold.  The count keeps the pivots of a block of 32 sites
+in a reused buffer, so a site costs a reciprocal and a subtract, and
+the sign bits are counted once per block.  The twisted factorization
+runs its recurrences unclamped in IEEE arithmetic on contiguous tables
+and reruns, with pivots clamped away from zero, only the shifts where a
+pivot that divides came within pivmin of zero (the fast path with a
+careful rerun of Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
+2006).  A Rayleigh-quotient step reads only gamma_r and |z|^2 of it,
+and each step after the first factors again only the rows whose shift
+moved; the vectors at the final shift are those of the last
+factorization of each row, made unit in place with their residual
+bounds.  All of it gives the same bits as one tree per eigenvalue, a
+pivot and a count per site, a clamp at every pivot, and every row
+factored at every step.
 """
 
 from __future__ import annotations
@@ -49,9 +54,10 @@ _BISECTION_STEPS = 160
 # shifts for Python steps
 _PASS_SHIFTS = 1023
 _MIN_DEPTH = 4
-# sites whose Sturm pivots one block of the count holds, at most 127;
-# at about 1000 shifts the block stays in cache
-_COUNT_BLOCK = 8
+# sites whose Sturm pivots one block of the count holds, at most 127
+# for its int8 sum of sign bits; at about 1000 shifts the block is
+# 256 KB, and a pass at N = 64 takes two blocks
+_COUNT_BLOCK = 32
 # bracket width, relative to the Gershgorin scale, at which bisection
 # hands an isolated eigenvalue to Rayleigh-quotient steps.  The
 # Gershgorin bracket is at most 2 scales wide, so 1e-5 takes 18
@@ -125,9 +131,12 @@ def _multisect(d, lower, upper, target, pivmin, width=None):
     level at a time, with the stopping test and the _BISECTION_STEPS
     cap checked before each.  Stops once every bracket is at most width
     wide, or at roundoff scale when width is None; a NaN bracket never
-    stops, so its walk runs to the cap.
+    stops, so its walk runs to the cap.  With a width, the test is left
+    out at the levels where the pass's widest bracket, halved once per
+    level, is still over 2 * width: rounding moves a width by about an
+    ulp of its ends, far below width, so the test cannot hold there.
     """
-    def settled():
+    def settled(lower, upper):
         # max <= width has the truth value of all(... <= width), a NaN
         # width of a bracket included
         if width is not None:
@@ -135,8 +144,14 @@ def _multisect(d, lower, upper, target, pivmin, width=None):
         tol = _EPS * np.maximum(np.abs(lower), np.abs(upper)) + 2.0 * pivmin
         return bool(np.all(upper - lower <= tol))
 
+    # the width test cannot hold while a pass's widest bracket, halved
+    # once per level, is over twice the width; the roundoff test always
+    # can
+    limit = np.inf if width is None else 2.0 * width
     steps = 0
-    while steps < _BISECTION_STEPS and not settled():
+    while steps < _BISECTION_STEPS and not settled(lower, upper):
+        # NaN with a NaN bracket, and then the test runs at every level
+        widest = float((upper - lower).max())
         # brackets equal bit for bit share one tree, column group[k] for
         # eigenvalue k.  Equal brackets sit in adjacent rows, because
         # brackets that start equal part on one count, which splits
@@ -146,34 +161,38 @@ def _multisect(d, lower, upper, target, pivmin, width=None):
         new = np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1)))
         group = np.cumsum(new) - 1
         first = np.flatnonzero(new)
-        depth = max(_MIN_DEPTH, (_PASS_SHIFTS // first.size + 1).bit_length()
-                    - 1)
-        # level j holds 2**j nodes per bracket; node p's children are
-        # p (count reached the target, keep the lower half) and p + 2**j
-        level_lo, level_hi = lower[None, first], upper[None, first]
-        mids = []
-        for _ in range(depth):
-            mid = 0.5 * (level_lo + level_hi)
-            mids.append(mid)
-            level_lo = np.concatenate((level_lo, mid))
-            level_hi = np.concatenate((mid, level_hi))
-        # the walk reads the raveled tree and its counts at flat
-        # positions, first.size to a row: node p of level j sits in row
-        # 2**j - 1 + p, so its children lie 2**j rows on (the lower
-        # half) and 2**(j+1) rows on (the upper half)
-        tree = np.concatenate(mids).ravel()
-        counts = _sturm_counts(d, tree)
-        at = group
+        size = first.size
+        depth = max(_MIN_DEPTH, (_PASS_SHIFTS // size + 1).bit_length() - 1)
+        # the tree in order: rows 0 and 2**depth of edges hold the
+        # bracket's ends, and row i between them the nested midpoint at
+        # i / 2**depth of its width, formed from the two rows that bound
+        # it a level above
+        edges = np.empty((2 ** depth + 1, size))
+        edges[0] = lower[first]
+        edges[-1] = upper[first]
         for level in range(depth):
-            if level and (steps == _BISECTION_STEPS or settled()):
+            stride = 2 ** (depth - level)
+            mid = edges[stride // 2::stride]
+            np.add(edges[:-1:stride], edges[stride::stride], out=mid)
+            mid *= 0.5
+        # the walk keeps, per eigenvalue, the flat position in edges of
+        # its bracket's lower end: the upper end lies span on and the
+        # midpoint span / 2 on, whose count sits size places earlier in
+        # counts, which start at row 1
+        flat = edges.ravel()
+        counts = _sturm_counts(d, edges[1:-1].ravel())
+        at = group
+        span = 2 ** depth * size
+        for level in range(depth):
+            if level and (steps == _BISECTION_STEPS or (
+                    not widest > limit
+                    and settled(flat[at], flat[at + span]))):
                 break
-            mid = tree[at]
-            take_upper = counts[at] >= target
-            upper = np.where(take_upper, mid, upper)
-            lower = np.where(take_upper, lower, mid)
-            stride = 2 ** level * first.size
-            at += np.where(take_upper, stride, 2 * stride)
+            span //= 2
+            at += (counts[at + (span - size)] < target) * span
             steps += 1
+            widest *= 0.5
+        lower, upper = flat[at], flat[at + span]
     return lower, upper
 
 
@@ -211,7 +230,9 @@ def _twist(d, lam, pivmin):
     above r and z_i = -z_{i-1} / R_i below it, solves
     (T - lam_k) z = gamma_r e_r.  Returns gamma_r, the vectors z as the
     rows of a (K, n) array, and |z|^2: the Rayleigh-quotient step
-    gamma_r / |z|^2 reads nothing more.
+    gamma_r / |z|^2 reads nothing more.  Each shift's results have the
+    same bits in any stack of shifts, so a caller may keep them for a
+    shift that does not move.
     """
     n = d.size
     # row i of the (n, 2, K) table holds site i for every shift, so each
@@ -239,13 +260,12 @@ def _twist(d, lam, pivmin):
         gamma = gamma[twist, np.arange(lam.size)]
         # ratios z_i / z_{i+1} above the twist and z_i / z_{i-1} below
         # it; ones elsewhere, so two running products meet at z_r = 1.
-        # up's last row and down's first, which no ratio fills, keep
-        # their ones
+        # Every row is divided and the ones then chosen, which keeps the
+        # quotients of a divide under a mask without its slow path; no
+        # site is below a twist at the last row or above one at the first
         site = np.arange(n)[:, None]
-        up = np.ones((n, lam.size))
-        np.divide(-1.0, top[:-1], out=up[:-1], where=site[:-1] < twist)
-        down = np.ones((n, lam.size))
-        np.divide(-1.0, bottom[1:], out=down[1:], where=site[1:] > twist)
+        up = np.where(site < twist, np.divide(-1.0, top), 1.0)
+        down = np.where(site > twist, np.divide(-1.0, bottom), 1.0)
         np.multiply.accumulate(up[::-1], axis=0, out=up[::-1])
         np.multiply.accumulate(down, axis=0, out=down)
         up *= down
@@ -253,16 +273,27 @@ def _twist(d, lam, pivmin):
         return gamma, z, np.einsum("kn,kn->k", z, z)
 
 
-def _twisted(d, lam, pivmin):
-    """_twist with its vectors made unit: the Rayleigh-quotient step
-    gamma_r / |z|^2, the unit vectors z / |z| as the rows of a (K, n)
-    array, and the residual bounds |gamma_r| / |z|.
+def _unit(gamma, z, norm2):
+    """_twist's gamma_r, vectors z and |z|^2 as the Rayleigh-quotient
+    step gamma_r / |z|^2, the unit vectors z / |z|, made in place in z,
+    and the residual bounds |gamma_r| / |z|.
     """
-    gamma, z, norm2 = _twist(d, lam, pivmin)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         norm = np.sqrt(norm2)
         z /= norm[:, None]
         return gamma / norm2, z, np.abs(gamma) / norm
+
+
+def _twisted(d, lam, pivmin):
+    """_twist with its vectors made unit by _unit."""
+    return _unit(*_twist(d, lam, pivmin))
+
+
+def _moved(before, after):
+    """Positions where after differs from before in its bits: +0.0 and
+    -0.0 differ, as d - lam then does in the sign of a zero, and a NaN
+    matches the same NaN."""
+    return np.flatnonzero(before.view(np.int64) != after.view(np.int64))
 
 
 def tridiag_eigensystem(d):
@@ -278,8 +309,11 @@ def tridiag_eigensystem(d):
     vector is orthogonalized against those of the lower eigenvalues
     within _CLUSTER |T| of its own; a vector that loses all but
     _KEPT of its length to them, as the second of an exactly repeated
-    eigenvalue does, reports an infinite residual.  Nothing here raises
-    or warns on convergence or overflow: callers judge the residuals.
+    eigenvalue does, reports an infinite residual.  A row whose
+    Rayleigh-quotient step leaves its shift's bits unchanged keeps its
+    factorization for the next step and for its vector.  Nothing here
+    raises or warns on convergence or overflow: callers judge the
+    residuals.
     d must be a nonempty 1-D array of finite reals, or ValueError.
     """
     d = as_float_array(d, "diagonal")
@@ -313,15 +347,22 @@ def tridiag_eigensystem(d):
         free = np.flatnonzero(~bisect)
         if free.size:
             shift = lam[free]
+            gamma, z, norm2 = _twist(d, shift, pivmin)
             for _ in range(_CORRECTIONS):
-                gamma, _, norm2 = _twist(d, shift, pivmin)
                 moved = shift + gamma / norm2
                 inside = (moved >= lower[free]) & (moved <= upper[free])
                 bisect[free[~inside]] = True
+                before = shift
                 shift = np.where(inside, moved, shift)
-            # the vectors come from one more pass at the final shift,
-            # whose own step shows whether the shift has settled
-            step, vectors[free], residual[free] = _twisted(d, shift, pivmin)
+                # _twist gives each shift the same bits in any stack, so
+                # a row whose shift kept its bits keeps its factorization
+                again = _moved(before, shift)
+                if again.size:
+                    gamma[again], z[again], norm2[again] = _twist(
+                        d, shift[again], pivmin)
+            # the vectors come from the factorization at the final
+            # shift, whose own step shows whether the shift has settled
+            step, vectors[free], residual[free] = _unit(gamma, z, norm2)
             bisect[free[np.abs(step) > _SETTLED * _EPS * scale]] = True
             lam[free] = shift
         rest = np.flatnonzero(bisect)

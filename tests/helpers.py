@@ -14,9 +14,10 @@ numpy.linalg appears only here and never inside the library, so
 cross-checks are genuinely two-route.
 
 The plain forms at the end are the other kind of reference: the
-spectral kernels written with one numpy call per row or per level,
-which the library's leaner loops must match bit for bit on the
-diagonals of diagonal_families.
+spectral kernels written with one numpy call per row or per level, and
+the eigensolver factoring every row at every step, which the library's
+leaner loops must match bit for bit on the diagonals of
+diagonal_families.
 """
 
 import math
@@ -444,10 +445,11 @@ def plain_invert_spectral(sd):
 
 
 def level_multisect(d, lower, upper, target, pivmin, width=None):
-    """linalg._multisect with its walk down each tree of midpoints
-    read level by level from the 2-D (level rows, bracket) table by
-    fancy indexing, and its width test as all(upper - lower <= width).
-    The module's constants are read at call time."""
+    """linalg._multisect with each tree of midpoints built level by
+    level by concatenation, its walk read level by level from the 2-D
+    (level rows, bracket) table by fancy indexing, and its width test
+    as all(upper - lower <= width) before every halving.  The module's
+    constants are read at call time."""
     def settled():
         tol = width if width is not None else (
             linalg._EPS * np.maximum(np.abs(lower), np.abs(upper))
@@ -527,3 +529,70 @@ def plain_twisted(d, lam, pivmin):
         norm2 = np.einsum("kn,kn->k", z, z)
         norm = np.sqrt(norm2)
         return gamma / norm2, z / norm[:, None], np.abs(gamma) / norm
+
+
+def plain_eigensystem(d, shifts=None):
+    """linalg.tridiag_eigensystem with level_multisect, every free row
+    factored again by linalg._twist at every Rayleigh-quotient step, and
+    linalg._twisted at the final shift.  With a list shifts, the shifts
+    of the free rows are appended to it before each factorization."""
+    d = np.asarray(d, dtype=float)
+    n = d.size
+    if n == 1:
+        return d.copy(), np.ones((1, 1)), np.zeros(1)
+    eps = linalg._EPS
+    radius = np.full(n, 2.0)
+    radius[[0, -1]] = 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = float(np.min(d - radius))
+        hi = float(np.max(d + radius))
+        scale = max(abs(lo), abs(hi), 1.0)
+        lo -= 2.0 * eps * scale
+        hi += 2.0 * eps * scale
+        pivmin = max(np.finfo(float).tiny / eps, eps * eps * scale)
+        cluster_tol = linalg._CLUSTER * scale
+        target = np.arange(1, n + 1)
+        lower, upper = level_multisect(d, np.full(n, lo), np.full(n, hi),
+                                       target, pivmin,
+                                       linalg._BRACKET_WIDTH * scale)
+        lam = 0.5 * (lower + upper)
+        vectors = np.empty((n, n))
+        residual = np.empty(n)
+        near = lower[1:] - upper[:-1] <= cluster_tol
+        bisect = np.append(near, False) | np.append(False, near)
+        free = np.flatnonzero(~bisect)
+        if free.size:
+            shift = lam[free]
+            for _ in range(linalg._CORRECTIONS):
+                if shifts is not None:
+                    shifts.append(shift)
+                gamma, _, norm2 = linalg._twist(d, shift, pivmin)
+                moved = shift + gamma / norm2
+                inside = (moved >= lower[free]) & (moved <= upper[free])
+                bisect[free[~inside]] = True
+                shift = np.where(inside, moved, shift)
+            if shifts is not None:
+                shifts.append(shift)
+            step, vectors[free], residual[free] = linalg._twisted(d, shift,
+                                                                  pivmin)
+            bisect[free[np.abs(step) > linalg._SETTLED * eps * scale]] = True
+            lam[free] = shift
+        rest = np.flatnonzero(bisect)
+        if rest.size:
+            lower, upper = level_multisect(d, lower[rest], upper[rest],
+                                           target[rest], pivmin)
+            lam[rest] = 0.5 * (lower + upper)
+            _, vectors[rest], residual[rest] = linalg._twisted(d, lam[rest],
+                                                               pivmin)
+        first = np.searchsorted(lam, lam - cluster_tol)
+        for k in np.flatnonzero(first < np.arange(n)):
+            v = vectors[k]
+            for u in vectors[first[k]:k]:
+                v -= (u @ v) * u
+            length = np.sqrt(v @ v)
+            v /= length
+            r = (d - lam[k]) * v
+            r[:-1] += v[1:]
+            r[1:] += v[:-1]
+            residual[k] = np.sqrt(r @ r) if length > linalg._KEPT else np.inf
+    return lam, vectors, residual

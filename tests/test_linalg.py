@@ -189,6 +189,53 @@ class TestEigen:
         assert np.max(np.abs(lam - ref)) <= 1e-12 * np.abs(ref).max()
         check_rows(d, lam, vectors, residual, np.ones(20, dtype=bool))
 
+    def test_matches_the_plain_eigensystem(self):
+        # the refinement factors again only the rows whose shift moved,
+        # and the multisection builds its trees in order: every bit
+        # must stay that of factoring every row at every step
+        for d in refinement_diagonals():
+            got = linalg.tridiag_eigensystem(d)
+            want = helpers.plain_eigensystem(d)
+            assert all(map(helpers.same_bits, got, want)), d
+
+    def test_refinement_factors_only_moved_rows(self, monkeypatch):
+        # the first _twist call takes every free row; each later one
+        # outside _twisted, the final shift's included, takes exactly
+        # the rows whose shift changed its bits on the step before
+        twist, twisted = linalg._twist, linalg._twisted
+        calls = []
+        inside = []
+
+        def spy(d_, lam, pivmin):
+            if not inside:
+                calls.append(lam.copy())
+            return twist(d_, lam, pivmin)
+
+        def vectors(*args):
+            inside.append(True)
+            try:
+                return twisted(*args)
+            finally:
+                inside.pop()
+
+        cases = []
+        for d in refinement_diagonals():
+            shifts = []
+            helpers.plain_eigensystem(d, shifts)
+            cases.append((d, shifts))
+        monkeypatch.setattr(linalg, "_twist", spy)
+        monkeypatch.setattr(linalg, "_twisted", vectors)
+        for d, shifts in cases:
+            want = shifts[:1]
+            for before, after in zip(shifts, shifts[1:]):
+                moved = before.view(np.int64) != after.view(np.int64)
+                if moved.any():
+                    want.append(after[moved])
+            calls.clear()
+            linalg.tridiag_eigensystem(d)
+            assert len(calls) == len(want), d
+            assert all(map(helpers.same_bits, calls, want)), d
+
     def test_isolated_eigenvalues_are_not_bisected(self, monkeypatch):
         # the refinement must take over from the coarse brackets: on a
         # random potential no eigenvalue is bisected to roundoff
@@ -282,6 +329,16 @@ class TestEigen:
         assert np.all(np.abs(sd.norming / rho_ref - 1.0) <= bound)
 
 
+def refinement_diagonals():
+    """diagonal_families and 20 random draws at each of N = 16, 64 and
+    128, at amplitudes from 0.05 to 5."""
+    rng = np.random.default_rng(18)
+    out = [d for _, d in helpers.diagonal_families()]
+    for n in (16, 64, 128):
+        out += [rng.uniform(-a, a, n) for a in np.geomspace(0.05, 5.0, 20)]
+    return out
+
+
 def gershgorin_setup(d):
     """The Gershgorin bracket, scale and pivot floor that
     tridiag_eigensystem hands to _multisect and _twisted."""
@@ -351,8 +408,21 @@ class TestKernels:
                 fine = linalg._multisect(d, *coarse, target, pivmin)
                 want = helpers.level_multisect(d, *coarse, target, pivmin)
                 assert all(map(helpers.same_bits, fine, want)), d
+            # the width test is left out while the widest bracket,
+            # halved once per level, is over twice the width: on these
+            # brackets it first holds at each level of a pass, or on
+            # the level where the widest is exactly the width
+            for d, *start, target, pivmin, width in walk_brackets():
+                got = linalg._multisect(d, *start, target, pivmin, width)
+                want = helpers.level_multisect(d, *start, target, pivmin,
+                                               width)
+                assert all(map(helpers.same_bits, got, want)), start
+                got = linalg._multisect(d, *start, target, pivmin)
+                want = helpers.level_multisect(d, *start, target, pivmin)
+                assert all(map(helpers.same_bits, got, want)), start
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 31, 32, 33, 64,
+                                   65])
     def test_sturm_counts_match_site_by_site(self, n):
         # the count runs a block of sites at a time; the sizes put the
         # last site on, before and after a block edge.  Shift d_0 makes
@@ -360,7 +430,7 @@ class TestKernels:
         # -0.0 at every even site, shift 0 makes every even pivot -0.0,
         # which counts as negative; with d_i = 1 / q_{i-1} at every
         # third site from the second, shift 0 makes those pivots
-        # exactly 0, site 7 among them, the last of the first block
+        # exactly 0, site 31 among them, the last of the first block
         rng = np.random.default_rng(15)
         for d in (rng.uniform(-1.0, 1.0, n),
                   np.where(np.arange(n) % 2, rng.uniform(-1.0, 1.0, n),
@@ -370,6 +440,13 @@ class TestKernels:
             got = linalg._sturm_counts(d, xs)
             want = [site_by_site_count(d, x) for x in xs.tolist()]
             assert got.tolist() == want
+
+    def test_moved_rows_differ_in_bits(self):
+        # +0.0 to -0.0 moves a row, since d - lam then differs in the
+        # sign of a zero; the same NaN and the same value do not
+        before = np.array([0.0, np.nan, 1.5, -2.0, -0.0, 3.0])
+        after = np.array([-0.0, np.nan, 1.5, -2.0, 0.0, np.nextafter(3.0, 4)])
+        assert linalg._moved(before, after).tolist() == [0, 4, 5]
 
     def test_twisted_columns_are_independent(self):
         for d, lam, clamped in clamped_shifts():
@@ -400,6 +477,34 @@ class TestKernels:
             with np.errstate(divide="ignore", invalid="ignore"):
                 gamma, _, norm2 = linalg._twist(d, lam, pivmin)
                 assert helpers.same_bits(gamma / norm2, want[0]), d
+
+
+def walk_brackets():
+    """(d, lower, upper, target, pivmin, width) for the multisection
+    walk.  Eight distinct brackets make a first pass 7 levels deep;
+    their widths halve from one to the next, so the widest one decides
+    the width test.  For each level j from 1 to 7 the widest is
+    0.75 * 2**j widths, so the test first holds at level j, or exactly
+    2**j widths from 0, so that at level j it is exactly the width.
+    Two more sets hold an infinite and a NaN bracket."""
+    d = np.random.default_rng(17).uniform(-1.0, 1.0, 16)
+    *_, scale, pivmin = gershgorin_setup(d)
+    width = linalg._BRACKET_WIDTH * scale
+    target = np.arange(3, 11)
+    sizes = 0.5 ** np.arange(8)
+    ends = np.linspace(-1.0, 1.0, 8)
+    out = []
+    for level in range(1, 8):
+        for widest, lower in ((0.75 * 2 ** level * width, ends),
+                              (2.0 ** level * width, np.zeros(8))):
+            out.append((d, lower, lower + widest * sizes, target, pivmin,
+                        width))
+    lower, upper = ends - 0.1, ends + 0.1
+    for k, end in ((5, np.inf), (2, np.nan)):
+        cut = upper.copy()
+        cut[k] = end
+        out.append((d, lower, cut, target, pivmin, width))
+    return out
 
 
 def clamped_shifts():
